@@ -1,0 +1,165 @@
+"""Order complexes and elementary face statistics.
+
+A :class:`SimplicialComplex` stores its vertex labels and the list of
+inclusion-maximal faces (facets).  The empty complex (no vertices, no
+facets) is a legitimate value: it is what the order complex of a bounded
+poset with at most two elements collapses to, and its reduced Euler
+characteristic is -1.
+"""
+
+from __future__ import annotations
+
+import os
+
+from .errors import SizeGuardError
+from .posets import Poset
+
+DEFAULT_FACE_GUARD = 2_000_000
+
+
+def face_guard_default() -> int:
+    """Face-count guard; the PROPERDIV_GUARD_FACES env var overrides it."""
+    raw = os.environ.get("PROPERDIV_GUARD_FACES")
+    if raw:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(
+                f"PROPERDIV_GUARD_FACES must be an integer, got {raw!r}"
+            ) from None
+    return DEFAULT_FACE_GUARD
+
+
+class SimplicialComplex:
+    """Vertex labels plus facets given as sorted tuples of vertex indices."""
+
+    __slots__ = ("vertices", "facets", "_faces")
+
+    def __init__(self, vertices, facets, validate=True):
+        self.vertices = tuple(vertices)
+        n = len(self.vertices)
+        normalized = sorted(set(tuple(sorted(set(f))) for f in facets))
+        for f in normalized:
+            if not f:
+                raise ValueError("facets must be nonempty")
+            if f[0] < 0 or f[-1] >= n:
+                raise ValueError(f"facet {f} has out-of-range vertices")
+        self.facets = tuple(normalized)
+        self._faces = None
+        if validate:
+            self._check_antichain()
+            covered = set()
+            for f in self.facets:
+                covered.update(f)
+            if len(covered) != n:
+                missing = sorted(set(range(n)) - covered)
+                raise ValueError(f"vertices {missing} lie in no facet")
+
+    def _check_antichain(self):
+        by_vertex = {}
+        for idx, f in enumerate(self.facets):
+            for v in f:
+                by_vertex.setdefault(v, []).append(idx)
+        sets = [set(f) for f in self.facets]
+        for idx, f in enumerate(self.facets):
+            v = min(f, key=lambda x: len(by_vertex[x]))
+            for other in by_vertex[v]:
+                if other != idx and sets[idx] <= sets[other]:
+                    raise ValueError(
+                        f"facet {self.facets[idx]} is contained in {self.facets[other]}"
+                    )
+
+    # -- queries ---------------------------------------------------------
+
+    def __repr__(self):
+        return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.facets
+
+    @property
+    def dim(self) -> int:
+        """Largest face dimension; -1 for the empty complex."""
+        return max((len(f) for f in self.facets), default=0) - 1
+
+    def faces_by_dim(self, max_faces: int | None = None) -> list[list[tuple[int, ...]]]:
+        """All faces grouped by dimension, each list sorted lexicographically.
+
+        Faces are produced by closing the facet list downward one dimension
+        at a time, with deduplication.
+        """
+        if self._faces is not None:
+            return self._faces
+        guard = face_guard_default() if max_faces is None else max_faces
+        if self.is_empty:
+            self._faces = []
+            return self._faces
+        dmax = self.dim
+        levels: list[set] = [set() for _ in range(dmax + 1)]
+        for f in self.facets:
+            levels[len(f) - 1].add(f)
+        total = sum(len(s) for s in levels)
+        for d in range(dmax, 0, -1):
+            lower = levels[d - 1]
+            before = len(lower)
+            for f in levels[d]:
+                for j in range(len(f)):
+                    lower.add(f[:j] + f[j + 1 :])
+            total += len(lower) - before
+            if total > guard:
+                raise SizeGuardError(f"face-count guard {guard} exceeded")
+        self._faces = [sorted(s) for s in levels]
+        return self._faces
+
+    def f_vector(self, max_faces: int | None = None) -> tuple[int, ...]:
+        """Face counts by dimension; empty tuple for the empty complex."""
+        return tuple(len(level) for level in self.faces_by_dim(max_faces))
+
+    def reduced_euler_char(self, max_faces: int | None = None) -> int:
+        """-1 + alternating sum of the f-vector."""
+        total = -1
+        for d, count in enumerate(self.f_vector(max_faces)):
+            total += count if d % 2 == 0 else -count
+        return total
+
+    def is_pure(self) -> bool:
+        """True iff all facets have equal cardinality (vacuously for empty)."""
+        sizes = {len(f) for f in self.facets}
+        return len(sizes) <= 1
+
+    # -- facet text format -------------------------------------------------
+
+    def to_facet_text(self) -> str:
+        lines = [f"vertices: {len(self.vertices)}"]
+        for f in self.facets:
+            lines.append(" ".join(str(v) for v in f))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_facet_text(cls, text: str, vertices=None) -> "SimplicialComplex":
+        lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+        if not lines or not lines[0].startswith("vertices:"):
+            raise ValueError("facet text must start with a 'vertices:' line")
+        n = int(lines[0].split(":", 1)[1])
+        facets = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
+        if vertices is None:
+            vertices = range(n)
+        return cls(vertices, facets)
+
+
+def order_complex(p: Poset, max_facets: int | None = None) -> SimplicialComplex:
+    """Chains of a bounded poset with bottom and top removed.
+
+    Vertices are the open poset's elements (labels preserved); facets are its
+    inclusion-maximal chains.  Returns the empty complex when nothing is left.
+    """
+    if not p.is_bounded:
+        raise ValueError("order complexes are taken of bounded posets")
+    open_poset = p.open_part()
+    if len(open_poset) == 0:
+        return SimplicialComplex((), (), validate=False)
+    guard = face_guard_default() if max_facets is None else max_facets
+    facets = open_poset.maximal_chains(max_chains=guard)
+    # maximal chains are pairwise incomparable under inclusion by maximality
+    return SimplicialComplex(open_poset.labels, facets, validate=False)

@@ -1,0 +1,564 @@
+"""Finite posets with explicit cover relations.
+
+Elements are referred to by integer index; every element carries an opaque
+hashable label (an exponent vector, a subset bitmask, a pair of factor
+labels, ...).  The cover relation is stored as the transitive reduction of
+the order; comparability closures are kept as integer bitmasks so that
+order queries are cheap even on posets with a few thousand elements.
+
+Posets are immutable after construction and all queries are pure, so
+instances can be shared freely between threads.
+"""
+
+from __future__ import annotations
+
+from itertools import product as _cartesian
+from math import prod
+
+from .errors import SizeGuardError
+
+DEFAULT_ELEMENT_GUARD = 10**6
+DEFAULT_CHAIN_GUARD = 10**6
+DEFAULT_BOOLEAN_GUARD = 12
+DEFAULT_ISO_GUARD = 5000
+
+
+def as_multidegree(a) -> tuple[int, ...]:
+    """Validate and normalize an exponent vector (length >= 1, entries >= 0)."""
+    vec = tuple(int(x) for x in a)
+    if len(vec) < 1:
+        raise ValueError("multidegree must have at least one coordinate")
+    if any(x < 0 for x in vec):
+        raise ValueError(f"multidegree entries must be non-negative: {vec}")
+    return vec
+
+
+def properly_divides(u, v) -> bool:
+    """True iff in every coordinate both entries are 0 or u's entry is smaller."""
+    if len(u) != len(v):
+        raise ValueError("multidegrees must have equal length")
+    return all(a == b == 0 or a < b for a, b in zip(u, v))
+
+
+def pd_le(u, v) -> bool:
+    """The order induced by proper divisibility: u == v or u properly divides v."""
+    return tuple(u) == tuple(v) or properly_divides(u, v)
+
+
+class Poset:
+    """A finite poset given by labels and its cover (Hasse) digraph.
+
+    ``upcovers[i]`` lists the indices that cover element ``i``.  ``bottom``
+    and ``top`` are detected automatically (present iff the poset has a
+    unique minimal / maximal element).
+    """
+
+    __slots__ = (
+        "labels",
+        "upcovers",
+        "bottom",
+        "top",
+        "_downcovers",
+        "_above",
+        "_below",
+        "_index",
+        "_topo",
+    )
+
+    def __init__(self, labels, upcovers, validate=True):
+        self.labels = tuple(labels)
+        n = len(self.labels)
+        self.upcovers = tuple(tuple(sorted(set(c))) for c in upcovers)
+        if len(self.upcovers) != n:
+            raise ValueError("labels and upcovers must have equal length")
+        for covers in self.upcovers:
+            for j in covers:
+                if not 0 <= j < n:
+                    raise ValueError(f"cover target {j} out of range")
+        self._downcovers = None
+        self._above = None
+        self._below = None
+        self._index = None
+        self._topo = self._toposort()  # raises on cycles
+        if validate:
+            self._check_reduced()
+        minimals = [i for i in range(n) if not self.downcovers[i]]
+        maximals = [i for i in range(n) if not self.upcovers[i]]
+        self.bottom = minimals[0] if len(minimals) == 1 else None
+        self.top = maximals[0] if len(maximals) == 1 else None
+
+    # -- basic structure ------------------------------------------------
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __repr__(self):
+        bt = "bounded" if self.is_bounded else "unbounded"
+        return f"Poset({len(self)} elements, {bt})"
+
+    @property
+    def is_bounded(self) -> bool:
+        return self.bottom is not None and self.top is not None
+
+    @property
+    def downcovers(self):
+        if self._downcovers is None:
+            down = [[] for _ in self.labels]
+            for i, ups in enumerate(self.upcovers):
+                for j in ups:
+                    down[j].append(i)
+            self._downcovers = tuple(tuple(sorted(d)) for d in down)
+        return self._downcovers
+
+    def index_of(self, label) -> int:
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._index[label]
+
+    def _toposort(self):
+        n = len(self.labels)
+        indeg = [0] * n
+        for ups in self.upcovers:
+            for j in ups:
+                indeg[j] += 1
+        stack = [i for i in range(n) if indeg[i] == 0]
+        order = []
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in self.upcovers[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    stack.append(j)
+        if len(order) != n:
+            raise ValueError("cover relation contains a cycle")
+        return tuple(order)
+
+    def _check_reduced(self):
+        # a cover i -> j is redundant iff it is implied by a path of length >= 2
+        above = self.above
+        for i, ups in enumerate(self.upcovers):
+            for j in ups:
+                for k in ups:
+                    if k != j and (above[k] >> j) & 1:
+                        raise ValueError(
+                            f"cover {i} -> {j} is implied by {i} -> {k} -> ... -> {j}"
+                        )
+
+    # -- order queries ---------------------------------------------------
+
+    @property
+    def above(self):
+        """Bitmask per element of everything >= it (reflexive)."""
+        if self._above is None:
+            masks = [0] * len(self.labels)
+            for i in reversed(self._topo):
+                m = 1 << i
+                for j in self.upcovers[i]:
+                    m |= masks[j]
+                masks[i] = m
+            self._above = masks
+        return self._above
+
+    @property
+    def below(self):
+        """Bitmask per element of everything <= it (reflexive)."""
+        if self._below is None:
+            masks = [0] * len(self.labels)
+            for i in self._topo:
+                m = 1 << i
+                for j in self.downcovers[i]:
+                    m |= masks[j]
+                masks[i] = m
+            self._below = masks
+        return self._below
+
+    def le(self, i: int, j: int) -> bool:
+        return bool((self.above[i] >> j) & 1)
+
+    def lt(self, i: int, j: int) -> bool:
+        return i != j and self.le(i, j)
+
+    def length(self) -> int:
+        """Length of the longest chain (number of covers along it)."""
+        height = [0] * len(self.labels)
+        for i in self._topo:
+            for j in self.upcovers[i]:
+                height[j] = max(height[j], height[i] + 1)
+        return max(height, default=0)
+
+    def atoms(self) -> tuple[int, ...]:
+        """Indices covering the bottom element, in index order."""
+        if self.bottom is None:
+            raise ValueError("poset has no bottom element")
+        return self.upcovers[self.bottom]
+
+    # -- derived posets ----------------------------------------------------
+
+    def dual(self) -> "Poset":
+        """Same elements with every cover reversed."""
+        return Poset(self.labels, self.downcovers, validate=False)
+
+    def _induced(self, members: list[int]) -> "Poset":
+        # valid only for convex element sets (covers restrict to covers)
+        remap = {old: new for new, old in enumerate(members)}
+        labels = [self.labels[i] for i in members]
+        ups = [
+            [remap[j] for j in self.upcovers[i] if j in remap] for i in members
+        ]
+        return Poset(labels, ups, validate=False)
+
+    def interval(self, lo: int, hi: int) -> "Poset":
+        """Induced subposet on {x : lo <= x <= hi}; bottom lo, top hi."""
+        if not self.le(lo, hi):
+            raise ValueError(f"{self.labels[lo]!r} is not below {self.labels[hi]!r}")
+        mask = self.above[lo] & self.below[hi]
+        members = _bits(mask)
+        return self._induced(members)
+
+    def open_part(self) -> "Poset":
+        """The poset minus its bottom and top elements (must be bounded)."""
+        if not self.is_bounded:
+            raise ValueError("poset must be bounded")
+        skip = {self.bottom, self.top}
+        members = [i for i in range(len(self)) if i not in skip]
+        return self._induced(members)
+
+    # -- chains ------------------------------------------------------------
+
+    def maximal_chains(self, max_chains: int = DEFAULT_CHAIN_GUARD):
+        """All inclusion-maximal chains as index tuples, in lexicographic order.
+
+        Each chain runs from a minimal to a maximal element along covers; its
+        length is ``len(chain) - 1``.
+        """
+        chains = []
+        path = []
+
+        def walk(i):
+            path.append(i)
+            ups = self.upcovers[i]
+            if not ups:
+                if len(chains) >= max_chains:
+                    raise SizeGuardError(
+                        f"more than {max_chains} maximal chains"
+                    )
+                chains.append(tuple(path))
+            else:
+                for j in ups:
+                    walk(j)
+            path.pop()
+
+        for i in range(len(self)):
+            if not self.downcovers[i]:
+                walk(i)
+        return chains
+
+    def mobius(self) -> int:
+        """Mobius number mu(bottom, top) of a bounded poset."""
+        if not self.is_bounded:
+            raise ValueError("poset must be bounded")
+        below = self.below
+        mu = [0] * len(self.labels)
+        mu[self.bottom] = 1
+        for z in self._topo:
+            if z == self.bottom:
+                continue
+            acc = 0
+            m = below[z] & ~(1 << z)
+            while m:
+                low = m & -m
+                acc += mu[low.bit_length() - 1]
+                m ^= low
+            mu[z] = -acc
+        return mu[self.top]
+
+    # -- isomorphism ---------------------------------------------------------
+
+    def _refined_colors(self):
+        # iterated neighborhood refinement; renumbering follows sorted
+        # signature order so colors are comparable across posets
+        n = len(self.labels)
+        down = self.downcovers
+        colors = [(len(down[i]), len(self.upcovers[i])) for i in range(n)]
+        while True:
+            sigs = [
+                (
+                    colors[i],
+                    tuple(sorted(colors[j] for j in self.upcovers[i])),
+                    tuple(sorted(colors[j] for j in down[i])),
+                )
+                for i in range(n)
+            ]
+            mapping = {s: k for k, s in enumerate(sorted(set(sigs)))}
+            nxt = [mapping[s] for s in sigs]
+            if len(mapping) == len(set(colors)):
+                return nxt
+            colors = nxt
+
+    def isomorphism_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
+        """An index bijection preserving covers both ways, or None.
+
+        Backtracking over elements ordered by rarest refined color first.
+        """
+        if len(self) > max_elements or len(other) > max_elements:
+            raise SizeGuardError(f"isomorphism guard is {max_elements} elements")
+        if len(self) != len(other):
+            return None
+        ca = self._refined_colors()
+        cb = other._refined_colors()
+        from collections import Counter
+
+        if Counter(ca) != Counter(cb):
+            return None
+        n = len(self)
+        by_color = {}
+        for j in range(n):
+            by_color.setdefault(cb[j], []).append(j)
+        order = sorted(range(n), key=lambda i: (len(by_color[ca[i]]), i))
+        up_a, down_a = self.upcovers, self.downcovers
+        up_b, down_b = other.upcovers, other.downcovers
+        up_a_sets = [set(c) for c in up_a]
+        down_a_sets = [set(c) for c in down_a]
+        up_b_sets = [set(c) for c in up_b]
+        down_b_sets = [set(c) for c in down_b]
+        image = [-1] * n
+        inverse = [-1] * n
+
+        def compatible(i, j):
+            if cb[j] != ca[i]:
+                return False
+            if len(up_a[i]) != len(up_b[j]) or len(down_a[i]) != len(down_b[j]):
+                return False
+            for k in up_a[i]:
+                m = image[k]
+                if m != -1 and m not in up_b_sets[j]:
+                    return False
+            for k in down_a[i]:
+                m = image[k]
+                if m != -1 and m not in down_b_sets[j]:
+                    return False
+            for k in up_b[j]:
+                p = inverse[k]
+                if p != -1 and p not in up_a_sets[i]:
+                    return False
+            for k in down_b[j]:
+                p = inverse[k]
+                if p != -1 and p not in down_a_sets[i]:
+                    return False
+            return True
+
+        def place(pos):
+            if pos == n:
+                return True
+            i = order[pos]
+            for j in by_color[ca[i]]:
+                if inverse[j] == -1 and compatible(i, j):
+                    image[i] = j
+                    inverse[j] = i
+                    if place(pos + 1):
+                        return True
+                    inverse[j] = -1
+                    image[i] = -1
+            return False
+
+        if place(0):
+            return list(image)
+        return None
+
+    def is_isomorphic_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
+        return self.isomorphism_to(other, max_elements=max_elements) is not None
+
+    # -- text format ---------------------------------------------------------
+
+    def to_text(self) -> str:
+        """Serialize to the line-oriented poset text format."""
+        lines = [f"elements: {len(self)}"]
+        for i, lab in enumerate(self.labels):
+            lines.append(f"{i} {_format_label(lab)}")
+        lines.append("covers:")
+        for i, ups in enumerate(self.upcovers):
+            for j in ups:
+                lines.append(f"{i} < {j}")
+        if self.bottom is not None:
+            lines.append(f"bottom: {self.bottom}")
+        if self.top is not None:
+            lines.append(f"top: {self.top}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "Poset":
+        """Parse the poset text format; labels are kept as strings."""
+        lines = [ln.rstrip("\n") for ln in text.split("\n")]
+        lines = [ln for ln in lines if ln.strip()]
+        if not lines or not lines[0].startswith("elements:"):
+            raise ValueError("poset text must start with an 'elements:' line")
+        n = int(lines[0].split(":", 1)[1])
+        labels = [""] * n
+        pos = 1
+        for _ in range(n):
+            if pos >= len(lines):
+                raise ValueError("fewer element lines than declared")
+            idx_str, _, label = lines[pos].partition(" ")
+            i = int(idx_str)
+            if not 0 <= i < n:
+                raise ValueError(f"element index {i} out of range")
+            labels[i] = label
+            pos += 1
+        if pos >= len(lines) or lines[pos].strip() != "covers:":
+            raise ValueError("expected a 'covers:' line")
+        pos += 1
+        ups = [[] for _ in range(n)]
+        declared_bottom = declared_top = None
+        for ln in lines[pos:]:
+            ln = ln.strip()
+            if ln.startswith("bottom:"):
+                declared_bottom = int(ln.split(":", 1)[1])
+            elif ln.startswith("top:"):
+                declared_top = int(ln.split(":", 1)[1])
+            else:
+                parts = ln.split("<")
+                if len(parts) != 2:
+                    raise ValueError(f"bad cover line: {ln!r}")
+                i, j = int(parts[0]), int(parts[1])
+                ups[i].append(j)
+        poset = cls(labels, ups, validate=True)
+        if declared_bottom is not None and poset.bottom != declared_bottom:
+            raise ValueError("declared bottom is not the unique minimal element")
+        if declared_top is not None and poset.top != declared_top:
+            raise ValueError("declared top is not the unique maximal element")
+        return poset
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _format_label(lab) -> str:
+    if isinstance(lab, tuple):
+        return "(" + ",".join(_format_label(x) for x in lab) + ")"
+    return str(lab)
+
+
+# -- constructors -------------------------------------------------------------
+
+
+def chain(length: int) -> Poset:
+    """Bounded total order with ``length + 1`` elements."""
+    if length < 0:
+        raise ValueError("chain length must be non-negative")
+    n = length + 1
+    return Poset(range(n), [[i + 1] if i + 1 < n else [] for i in range(n)], validate=False)
+
+
+def boolean_lattice(n: int, max_n: int = DEFAULT_BOOLEAN_GUARD) -> Poset:
+    """Subsets of an n-set ordered by inclusion; labels are subset bitmasks."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > max_n:
+        raise SizeGuardError(f"boolean lattice guard is n <= {max_n}")
+    size = 1 << n
+    ups = []
+    for s in range(size):
+        ups.append([s | (1 << b) for b in range(n) if not (s >> b) & 1])
+    return Poset(range(size), ups, validate=False)
+
+
+def _reduction_from_leq(strict_above: list[int], n: int) -> list[list[int]]:
+    """Transitive reduction given strict up-set bitmasks."""
+    strict_below = [0] * n
+    for i in range(n):
+        m = strict_above[i]
+        while m:
+            low = m & -m
+            strict_below[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    ups = [[] for _ in range(n)]
+    for i in range(n):
+        m = strict_above[i]
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            if not (strict_above[i] & strict_below[j]):
+                ups[i].append(j)
+            m ^= low
+    return ups
+
+
+def proper_divisibility_poset(
+    a, max_elements: int = DEFAULT_ELEMENT_GUARD
+) -> Poset:
+    """All multidegrees <= a under proper divisibility; a itself is the top.
+
+    Elements are indexed lexicographically by exponent vector with the top
+    last; covers are the transitive reduction of proper divisibility.
+    """
+    a = as_multidegree(a)
+    count = prod(ai if ai >= 1 else 1 for ai in a) + (1 if any(a) else 0)
+    if count > max_elements:
+        raise SizeGuardError(
+            f"P{a} would have {count} elements (guard {max_elements})"
+        )
+    ranges = [range(ai) if ai >= 1 else (0,) for ai in a]
+    grid = sorted(_cartesian(*ranges))
+    elements = grid + [a] if any(a) else grid
+    n = len(elements)
+    strict_above = [0] * n
+    for i, u in enumerate(elements):
+        m = 0
+        for j, v in enumerate(elements):
+            if i != j and properly_divides(u, v):
+                m |= 1 << j
+        strict_above[i] = m
+    return Poset(elements, _reduction_from_leq(strict_above, n), validate=False)
+
+
+def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -> Poset:
+    """Proper-division product of bounded posets.
+
+    The elements are the tuples (x_1, ..., x_n) lying below the tuple of
+    tops, where a tuple is below another iff each coordinate either sits at
+    the factor's bottom on both sides or strictly increases.  Indexing is
+    lexicographic by factor element indices.
+    """
+    if len(factors) < 2:
+        raise ValueError("proper_product needs at least two factors")
+    for p in factors:
+        if not p.is_bounded:
+            raise ValueError("all factors must be bounded")
+    if prod(len(p) for p in factors) > max_elements:
+        raise SizeGuardError(f"product guard is {max_elements} candidate pairs")
+
+    tops = tuple(p.top for p in factors)
+    bottoms = tuple(p.bottom for p in factors)
+
+    def leq(xs, ys):
+        if xs == ys:
+            return True
+        for p, bot, x, y in zip(factors, bottoms, xs, ys):
+            if x == y == bot:
+                continue
+            if not p.lt(x, y):
+                return False
+        return True
+
+    members = [
+        xs for xs in _cartesian(*(range(len(p)) for p in factors)) if leq(xs, tops)
+    ]
+    n = len(members)
+    if n > max_elements:
+        raise SizeGuardError(f"product guard is {max_elements} elements")
+    labels = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
+    strict_above = [0] * n
+    for i, xs in enumerate(members):
+        m = 0
+        for j, ys in enumerate(members):
+            if i != j and leq(xs, ys):
+                m |= 1 << j
+        strict_above[i] = m
+    return Poset(labels, _reduction_from_leq(strict_above, n), validate=False)

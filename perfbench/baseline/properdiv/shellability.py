@@ -1,0 +1,379 @@
+"""Recursive atom orderings and falling chains.
+
+A recursive atom ordering of a bounded poset P is a linear order on its
+atoms such that (i) each interval [p, 1] admits one in which the atoms
+lying above some earlier atom come first, and (ii) whenever two atoms
+p < p' (in the order) sit below a common element q, some atom q' of
+[p', 1] below q lies above an atom earlier than p'.  Existence is
+equivalent to CL-shellability of P.
+
+Certificates store the chosen ordering at every interval.  The search and
+the verifier both work on the intervals [x, 1] of the ambient poset using
+its comparability bitmasks, and memoize on (x, required prefix set): the
+constraint condition (i) imposes on a child interval is exactly which
+atoms must come first, nothing more.
+
+The falling-chain machinery is specific to two coordinates: the labeling
+induced by the dual-lexicographic atom ordering makes a maximal chain of
+the dual of P(a, b) falling iff it never steps onto the componentwise
+decrement except at the last step and never passes through a border
+element (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 in its interior.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import SizeGuardError
+from .posets import (
+    DEFAULT_CHAIN_GUARD,
+    DEFAULT_ELEMENT_GUARD,
+    Poset,
+    as_multidegree,
+    proper_divisibility_poset,
+)
+
+DEFAULT_RAO_GUARD = 24
+
+
+# -- certificates -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RaoCertificate:
+    """Atom ordering of one interval plus certificates for its children.
+
+    ``children`` is None exactly when the certified interval has length at
+    most one (nothing to check there); otherwise ``children[j]`` certifies
+    the interval above ``ordering[j]``.
+    """
+
+    ordering: tuple
+    children: tuple["RaoCertificate", ...] | None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "ordering": [_label_json(x) for x in self.ordering],
+            "children": None
+            if self.children is None
+            else [c.to_json_dict() for c in self.children],
+        }
+
+
+def _label_json(label):
+    if isinstance(label, tuple):
+        return [_label_json(x) for x in label]
+    return label
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+class _IntervalContext:
+    """Shared bitmask machinery for the intervals [x, top] of one poset."""
+
+    def __init__(self, p: Poset):
+        if not p.is_bounded:
+            raise ValueError("poset must be bounded")
+        self.p = p
+        self.up = p.upcovers
+        self.above = p.above
+        self.strict_above = [
+            p.above[i] & ~(1 << i) for i in range(len(p))
+        ]
+
+    def is_short(self, x: int) -> bool:
+        # the interval [x, top] has length <= 1 iff it has <= 2 elements
+        return _popcount(self.above[x]) <= 2
+
+    def condition_ii_ok(self, atom: int, prefix_mask: int) -> bool:
+        """Condition (ii) for ``atom`` given the earlier atoms' strict up-sets."""
+        trigger = self.strict_above[atom] & prefix_mask
+        if not trigger:
+            return True
+        witness = 0
+        for q in self.up[atom]:
+            if (prefix_mask >> q) & 1:
+                witness |= self.above[q]
+        return not (trigger & ~witness)
+
+    def f_atoms(self, atom: int, prefix_mask: int) -> frozenset[int]:
+        """Atoms of [atom, top] lying above some earlier atom."""
+        return frozenset(
+            q for q in self.up[atom] if (prefix_mask >> q) & 1
+        )
+
+
+def verify_rao(p: Poset, cert: RaoCertificate):
+    """Check a certificate against every interval it covers.
+
+    Returns ``(True, None)`` or ``(False, description of the first violated
+    condition)``.  Raises ValueError when the certificate's orderings are
+    not permutations of the proper atom sets.
+    """
+    ctx = _IntervalContext(p)
+    memo: dict = {}
+
+    def label_of(x):
+        return p.labels[x]
+
+    def check(x: int, node: RaoCertificate, required_first: frozenset[int]):
+        key = (x, required_first, id(node))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        result = _check_inner(x, node, required_first)
+        memo[key] = result
+        return result
+
+    def _check_inner(x, node, required_first):
+        atoms = ctx.up[x]
+        try:
+            ordering = tuple(p.index_of(lab) for lab in node.ordering)
+        except KeyError as exc:
+            raise ValueError(f"unknown atom label in certificate: {exc}") from None
+        if sorted(ordering) != sorted(atoms):
+            raise ValueError(
+                f"ordering at interval above {label_of(x)!r} is not a "
+                f"permutation of its atoms"
+            )
+        prefix = set(ordering[: len(required_first)])
+        if prefix != set(required_first):
+            return (
+                False,
+                f"condition (i): atoms {sorted(label_of(i) for i in required_first)} "
+                f"must come first in the interval above {label_of(x)!r}",
+            )
+        if ctx.is_short(x):
+            if node.children is not None:
+                raise ValueError(
+                    f"interval above {label_of(x)!r} has length <= 1 but the "
+                    f"certificate carries children"
+                )
+            return True, None
+        if node.children is None or len(node.children) != len(ordering):
+            raise ValueError(
+                f"certificate above {label_of(x)!r} must carry one child per atom"
+            )
+        prefix_mask = 0
+        for j, atom in enumerate(ordering):
+            if not ctx.condition_ii_ok(atom, prefix_mask):
+                return (
+                    False,
+                    f"condition (ii) fails for atom {label_of(atom)!r} at "
+                    f"position {j} in the interval above {label_of(x)!r}",
+                )
+            ok, why = check(atom, node.children[j], ctx.f_atoms(atom, prefix_mask))
+            if not ok:
+                return False, why
+            prefix_mask |= ctx.strict_above[atom]
+        return True, None
+
+    return check(p.bottom, cert, frozenset())
+
+
+def search_rao(p: Poset, max_elements: int = DEFAULT_RAO_GUARD):
+    """Exhaustive memoized search for a recursive atom ordering.
+
+    Returns the first certificate in lexicographic permutation order (with
+    constrained atoms kept in front), or None once the space is exhausted.
+    """
+    if not p.is_bounded:
+        raise ValueError("poset must be bounded")
+    if len(p) > max_elements:
+        raise SizeGuardError(f"search guard is {max_elements} elements")
+    ctx = _IntervalContext(p)
+    memo: dict = {}
+
+    def search(x: int, required_first: frozenset[int]):
+        key = (x, required_first)
+        if key in memo:
+            return memo[key]
+        atoms = ctx.up[x]
+        if ctx.is_short(x):
+            cert = RaoCertificate(
+                ordering=tuple(p.labels[i] for i in atoms), children=None
+            )
+            memo[key] = cert
+            return cert
+        required = sorted(required_first)
+        rest = sorted(set(atoms) - required_first)
+        ordering: list[int] = []
+        children: list[RaoCertificate] = []
+
+        def extend(prefix_mask: int):
+            j = len(ordering)
+            if j == len(atoms):
+                return True
+            pool = required if j < len(required) else rest
+            for atom in pool:
+                if atom in ordering:
+                    continue
+                if not ctx.condition_ii_ok(atom, prefix_mask):
+                    continue
+                child = search(atom, ctx.f_atoms(atom, prefix_mask))
+                if child is None:
+                    continue
+                ordering.append(atom)
+                children.append(child)
+                if extend(prefix_mask | ctx.strict_above[atom]):
+                    return True
+                ordering.pop()
+                children.pop()
+            return False
+
+        if extend(0):
+            cert = RaoCertificate(
+                ordering=tuple(p.labels[i] for i in ordering),
+                children=tuple(children),
+            )
+        else:
+            cert = None
+        memo[key] = cert
+        return cert
+
+    return search(p.bottom, frozenset())
+
+
+# -- the dual-lexicographic certificate --------------------------------------
+
+
+def least_atom(b) -> tuple[int, ...]:
+    """Componentwise decrement: the first atom of [b, 0] in dual-lex order."""
+    b = as_multidegree(b)
+    if not any(b):
+        raise ValueError("the zero vector spans no interval")
+    return tuple(x - 1 if x else 0 for x in b)
+
+
+def dual_lex_certificate(a, max_elements: int = DEFAULT_ELEMENT_GUARD) -> RaoCertificate:
+    """Certificate for the dual of P(a) ordering every interval dual-lexicographically.
+
+    Dual-lex compares descending: c precedes d iff at the first differing
+    coordinate c is larger, so every interval starts with the componentwise
+    decrement of its bottom.  Sub-certificates are shared between intervals
+    with the same bottom vector.
+    """
+    a = as_multidegree(a)
+    poset = proper_divisibility_poset(a, max_elements=max_elements)
+    down = poset.downcovers
+    labels = poset.labels
+    memo: dict[int, RaoCertificate] = {}
+
+    def cert_for(idx: int) -> RaoCertificate:
+        hit = memo.get(idx)
+        if hit is not None:
+            return hit
+        vec = labels[idx]
+        if all(x <= 1 for x in vec):
+            cert = RaoCertificate(
+                ordering=tuple(labels[k] for k in down[idx]), children=None
+            )
+        else:
+            order = sorted(down[idx], key=lambda k: tuple(-x for x in labels[k]))
+            cert = RaoCertificate(
+                ordering=tuple(labels[k] for k in order),
+                children=tuple(cert_for(k) for k in order),
+            )
+        memo[idx] = cert
+        return cert
+
+    return cert_for(poset.index_of(a))
+
+
+# -- falling chains (two coordinates) ----------------------------------------
+
+
+def is_border(e) -> bool:
+    """True iff e is of the form (1, k), (k, 1), (0, k) or (k, 0) with k >= 2."""
+    e = as_multidegree(e)
+    if len(e) != 2:
+        raise ValueError("border elements are defined for two coordinates")
+    c, d = e
+    return (c in (0, 1) and d >= 2) or (d in (0, 1) and c >= 2)
+
+
+@dataclass(frozen=True)
+class FallingChain:
+    """A maximal chain of the dual of P(a, b), from (a, b) down to (0, 0)."""
+
+    elements: tuple[tuple[int, int], ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.elements) - 1
+
+    def to_json_list(self) -> list:
+        return [list(e) for e in self.elements]
+
+
+def falling_chains(
+    a: int,
+    b: int,
+    length: int | None = None,
+    max_chains: int = DEFAULT_CHAIN_GUARD,
+) -> list[FallingChain]:
+    """All falling maximal chains of the dual of P(a, b), depth-first.
+
+    Steps onto the componentwise decrement are pruned except directly onto
+    (0, 0), and border elements are pruned outright (they could only ever
+    occupy interior positions).  Chains come out ordered lexicographically
+    by their vector sequences.
+    """
+    if not (2 <= a <= b):
+        raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
+    poset = proper_divisibility_poset((a, b))
+    down = poset.downcovers
+    labels = poset.labels
+    zero = (0, 0)
+    out: list[FallingChain] = []
+    path: list[tuple[int, int]] = [(a, b)]
+
+    def walk(idx: int):
+        vec = labels[idx]
+        dec = least_atom(vec)
+        for k in down[idx]:
+            z = labels[k]
+            if z == zero:
+                if length is None or len(path) == length:
+                    if len(out) >= max_chains:
+                        raise SizeGuardError(f"more than {max_chains} falling chains")
+                    out.append(FallingChain(tuple(path) + (zero,)))
+                continue
+            if z == dec or is_border(z):
+                continue
+            path.append(z)
+            walk(k)
+            path.pop()
+
+    walk(poset.index_of((a, b)))
+    return out
+
+
+def betti_from_falling_chains(a: int, b: int) -> tuple[int, ...]:
+    """Reduced Betti ranks as falling-chain counts: degree i counts length i + 2."""
+    counts = [0] * max(a - 1, 1)
+    for c in falling_chains(a, b):
+        i = c.length - 2
+        counts[i] += 1
+    return tuple(counts)
+
+
+def check_final_increments(chain) -> bool:
+    """Constraints on the last two steps of a falling chain.
+
+    The next-to-last element must be (1, 0), (1, 1) or (0, 1); reaching
+    (1, 0) forces a unit drop in the first coordinate and a drop of at
+    least two in the second, symmetrically for (0, 1).
+    """
+    elems = chain.elements if isinstance(chain, FallingChain) else tuple(chain)
+    if len(elems) < 3 or elems[-1] != (0, 0):
+        return False
+    penult = elems[-2]
+    prev = elems[-3]
+    if penult == (1, 0):
+        return prev[0] - 1 == 1 and prev[1] >= 2
+    if penult == (0, 1):
+        return prev[1] - 1 == 1 and prev[0] >= 2
+    return penult == (1, 1)
