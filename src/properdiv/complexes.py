@@ -87,15 +87,24 @@ class SimplicialComplex:
         """All faces grouped by dimension, each list sorted lexicographically.
 
         Faces are produced by closing the facet list downward one dimension
-        at a time, with deduplication.
+        at a time, with deduplication.  More than ``max_faces`` faces in all
+        raise :class:`SizeGuardError`, whether or not they are cached.
         """
-        if self._faces is not None:
-            return self._faces
         guard = face_guard_default() if max_faces is None else max_faces
+        if self._faces is None:
+            self._faces = self._close_faces(guard)
+        if sum(len(level) for level in self._faces) > guard:
+            raise SizeGuardError(f"face-count guard {guard} exceeded")
+        return self._faces
+
+    def _close_faces(self, guard: int) -> list[list[tuple[int, ...]]]:
         if self.is_empty:
-            self._faces = []
-            return self._faces
+            return []
         dmax = self.dim
+        # a facet with k vertices alone has 2**k - 1 faces: refuse before
+        # closing a level whose faces would not fit in memory
+        if (1 << (dmax + 1)) - 1 > guard:
+            raise SizeGuardError(f"face-count guard {guard} exceeded")
         levels: list[set] = [set() for _ in range(dmax + 1)]
         for f in self.facets:
             levels[len(f) - 1].add(f)
@@ -109,8 +118,7 @@ class SimplicialComplex:
             total += len(lower) - before
             if total > guard:
                 raise SizeGuardError(f"face-count guard {guard} exceeded")
-        self._faces = [sorted(s) for s in levels]
-        return self._faces
+        return [sorted(s) for s in levels]
 
     def f_vector(self, max_faces: int | None = None) -> tuple[int, ...]:
         """Face counts by dimension; empty tuple for the empty complex."""

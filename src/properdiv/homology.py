@@ -8,6 +8,18 @@ densified and finished with a classical Smith normal form (smallest
 nonzero pivot, remainder swaps), or with fraction-free Gaussian
 elimination when only the rank is needed.  All arithmetic is on Python
 integers, so intermediate entry growth is harmless.
+
+:func:`homology` reduces the maps top-down, from the top dimension to 1,
+and clears as it goes (Chen & Kerber's "twist"): every row of a +-1 pivot
+of the sparse phase of the (d+1)-st map is a d-face whose column is left
+out of the d-th map.  This is exact over the integers, not just over the
+rationals.  Only unit pivots clear, and the k-th pivot column is the
+boundary of an integer chain with +-1 in its own pivot row and 0 in the
+rows of the k-1 pivots before it, so on the cleared rows these boundaries
+form a +-1-triangular block.  Every cleared face therefore equals a
+boundary plus an integer combination of kept faces, and since the d-th map
+kills boundaries, its image lattice, rank and invariant factors are those
+of the kept columns alone.  Pivots of the dense phase clear nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +34,8 @@ from .complexes import SimplicialComplex
 # -- sparse phase ---------------------------------------------------------
 
 
-def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> int:
-    """Destructively eliminate +-1 pivots; returns how many were used."""
+def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> list[int]:
+    """Destructively eliminate +-1 pivots; returns the row of each pivot used."""
     rows: dict[int, set[int]] = {}
     for cid, col in cols.items():
         for r in col:
@@ -35,7 +47,7 @@ def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> int:
             if v == 1 or v == -1:
                 heap.append(((len(rows[r]) - 1) * width, r, cid))
     heapq.heapify(heap)
-    rank = 0
+    pivot_rows = []
     while cols:
         pivot = None
         while heap:
@@ -67,7 +79,7 @@ def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> int:
                 support.discard(c)
                 if not support:
                     del rows[rr]
-        rank += 1
+        pivot_rows.append(r)
         targets = rows.pop(r, None)
         if not targets:
             continue
@@ -101,7 +113,7 @@ def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> int:
                     )
             if not col2:
                 del cols[c2]
-    return rank
+    return pivot_rows
 
 
 def _densify(cols: dict[int, dict[int, int]]) -> list[list[int]]:
@@ -210,14 +222,16 @@ def _rank_dense(mat: list[list[int]]) -> int:
 
 
 def _snf_of_columns(cols, want_factors: bool):
-    rank1 = _eliminate_unit_pivots(cols)
+    """(rank, invariant factors or None, rows of the sparse unit pivots)."""
+    pivot_rows = _eliminate_unit_pivots(cols)
+    rank1 = len(pivot_rows)
     if not cols:
-        return rank1, [1] * rank1 if want_factors else None
+        return rank1, [1] * rank1 if want_factors else None, pivot_rows
     dense = _densify(cols)
     if want_factors:
         tail = _snf_dense(dense)
-        return rank1 + len(tail), [1] * rank1 + tail
-    return rank1 + _rank_dense(dense), None
+        return rank1 + len(tail), [1] * rank1 + tail, pivot_rows
+    return rank1 + _rank_dense(dense), None, pivot_rows
 
 
 # -- public matrix operations ----------------------------------------------
@@ -243,7 +257,7 @@ def _columns_of(rows: list[list[int]]) -> dict[int, dict[int, int]]:
 def smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr and the rank r of an integer matrix."""
     rows = _as_rows(matrix)
-    rank, factors = _snf_of_columns(_columns_of(rows), want_factors=True)
+    rank, factors, _ = _snf_of_columns(_columns_of(rows), want_factors=True)
     return factors, rank
 
 
@@ -283,15 +297,19 @@ class ChainComplexZ:
         return self.boundaries[d - 1]
 
 
-def _boundary_columns(lower_index, upper_faces):
-    cols = []
-    for face in upper_faces:
-        col = []
-        for j in range(len(face)):
-            coeff = 1 if j % 2 == 0 else -1
-            col.append((lower_index[face[:j] + face[j + 1 :]], coeff))
-        cols.append(tuple(col))
-    return cols
+def _boundary_columns(lower_index, upper_faces, skip=frozenset()):
+    """Yield ``(index, {row: +-1})`` for every face of ``upper_faces`` not in ``skip``.
+
+    Rows are looked up in ``lower_index``; the coefficient of the face with
+    vertex ``j`` removed is ``(-1) ** j``, and keys follow ``j``.
+    """
+    for cid, face in enumerate(upper_faces):
+        if cid in skip:
+            continue
+        yield cid, {
+            lower_index[face[:j] + face[j + 1 :]]: -1 if j & 1 else 1
+            for j in range(len(face))
+        }
 
 
 def boundary_matrices(
@@ -304,7 +322,12 @@ def boundary_matrices(
     boundaries = []
     for d in range(1, len(faces)):
         lower_index = {f: i for i, f in enumerate(faces[d - 1])}
-        boundaries.append(tuple(_boundary_columns(lower_index, faces[d])))
+        boundaries.append(
+            tuple(
+                tuple(col.items())
+                for _, col in _boundary_columns(lower_index, faces[d])
+            )
+        )
     return ChainComplexZ(
         bases=tuple(tuple(level) for level in faces),
         boundaries=tuple(boundaries),
@@ -370,18 +393,17 @@ def homology(
     if reduced and faces[0]:
         ranks[0] = 1
         factor_lists[0] = [1]
-    for d in range(1, dim + 1):
+    cleared: set[int] = set()
+    for d in range(dim, 0, -1):
         lower_index = {f: i for i, f in enumerate(faces[d - 1])}
-        cols = {}
-        for cid, face in enumerate(faces[d]):
-            col = {}
-            for j in range(len(face)):
-                col[lower_index[face[:j] + face[j + 1 :]]] = 1 if j % 2 == 0 else -1
-            cols[cid] = col
+        cols = dict(_boundary_columns(lower_index, faces[d], skip=cleared))
         del lower_index
-        rank_d, factors_d = _snf_of_columns(cols, want_factors=torsion)
-        ranks[d] = rank_d
-        factor_lists[d] = factors_d
+        ranks[d], factor_lists[d], pivot_rows = _snf_of_columns(
+            cols, want_factors=torsion
+        )
+        # the (d-1)-faces that were unit pivot rows of this map are the
+        # columns the next map down can leave out (module docstring)
+        cleared = set(pivot_rows)
     betti = tuple(
         len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1)
     )

@@ -232,26 +232,36 @@ class Poset:
         Each chain runs from a minimal to a maximal element along covers; its
         length is ``len(chain) - 1``.
         """
+        upcovers = self.upcovers
         chains = []
-        path = []
-
-        def walk(i):
-            path.append(i)
-            ups = self.upcovers[i]
-            if not ups:
+        # depth-first with a stack of cover iterators, one per element of
+        # the path below its end: chains may be longer than the
+        # interpreter's recursion limit
+        for start in range(len(self)):
+            if self.downcovers[start]:
+                continue
+            path, pending, node = [], [], start
+            while node is not None:
+                path.append(node)
+                ups = upcovers[node]
+                if ups:
+                    it = iter(ups)
+                    node = next(it)
+                    pending.append(it)
+                    continue
                 if len(chains) >= max_chains:
                     raise SizeGuardError(
                         f"more than {max_chains} maximal chains"
                     )
                 chains.append(tuple(path))
-            else:
-                for j in ups:
-                    walk(j)
-            path.pop()
-
-        for i in range(len(self)):
-            if not self.downcovers[i]:
-                walk(i)
+                path.pop()
+                node = None
+                while pending:
+                    node = next(pending[-1], None)
+                    if node is not None:
+                        break
+                    pending.pop()
+                    path.pop()
         return chains
 
     def mobius(self) -> int:
@@ -394,7 +404,7 @@ class Poset:
         if not lines or not lines[0].startswith("elements:"):
             raise ValueError("poset text must start with an 'elements:' line")
         n = int(lines[0].split(":", 1)[1])
-        labels = [""] * n
+        labels: list[str | None] = [None] * n
         pos = 1
         for _ in range(n):
             if pos >= len(lines):
@@ -403,6 +413,8 @@ class Poset:
             i = int(idx_str)
             if not 0 <= i < n:
                 raise ValueError(f"element index {i} out of range")
+            if labels[i] is not None:
+                raise ValueError(f"element index {i} given twice")
             labels[i] = label
             pos += 1
         if pos >= len(lines) or lines[pos].strip() != "covers:":

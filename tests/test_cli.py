@@ -89,6 +89,23 @@ def test_homology_guard_exit(capsys):
     assert "guard" in err
 
 
+def test_homology_long_chain_hits_face_guard(capsys, monkeypatch):
+    # P(1500) is a chain: one maximal chain longer than the recursion
+    # limit, and a 1499-vertex simplex far beyond the face guard
+    monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
+    code, _, err = run(capsys, "homology", "pdiv", "1500")
+    assert code == 3
+    assert err.strip() == "error: face-count guard 2000000 exceeded"
+
+
+def test_homology_file_with_repeated_index(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("elements: 2\n0 a\n0 b\ncovers:\n0<1\n")
+    code, _, err = run(capsys, "homology", "file", str(path))
+    assert code == 2
+    assert "given twice" in err
+
+
 # -- falling --------------------------------------------------------------------
 
 

@@ -105,6 +105,16 @@ def test_face_guard():
         cx.f_vector(max_faces=5)
 
 
+def test_face_guard_applies_to_cached_faces():
+    cx = SimplicialComplex(range(4), [(0, 1, 2, 3)])
+    assert len(cx.faces_by_dim()) == 4
+    with pytest.raises(pd.SizeGuardError):
+        cx.faces_by_dim(1)
+    with pytest.raises(pd.SizeGuardError):
+        pd.homology(cx, max_faces=1)
+    assert cx.f_vector(max_faces=15) == (4, 6, 4, 1)
+
+
 def test_face_guard_env_override(monkeypatch):
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "7")
     assert face_guard_default() == 7

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,15 @@ from properdiv.homology import boundary_matrices, rational_rank, smith_normal_fo
 from properdiv.complexes import SimplicialComplex
 
 from oracles import snf_by_minors
+from strategies import bounded_posets
+
+RP2 = SimplicialComplex(
+    range(6),
+    [
+        (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
+        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+    ],
+)
 
 
 def _pdiv_complex(vec):
@@ -50,16 +61,20 @@ def test_snf_matches_minors_oracle(rows):
     assert rational_rank(rows) == want_rank
 
 
+def _dense_boundary(chain_cx, d):
+    cols = chain_cx.boundary(d)
+    dense = [[0] * len(cols) for _ in chain_cx.bases[d - 1]]
+    for j, col in enumerate(cols):
+        for r, v in col:
+            dense[r][j] = v
+    return dense
+
+
 def test_rank_matches_fraction_free_on_boundaries():
     cx = _pdiv_complex((4, 5))
     chain_cx = boundary_matrices(cx)
     for d in range(1, chain_cx.dims + 1):
-        cols = chain_cx.boundary(d)
-        nrows = len(chain_cx.bases[d - 1])
-        dense = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for r, v in col:
-                dense[r][j] = v
+        dense = _dense_boundary(chain_cx, d)
         factors, rank = smith_normal_form(dense)
         assert rank == rational_rank(dense)
         assert all(f == 1 for f in factors)
@@ -145,16 +160,89 @@ def test_known_small_complexes():
 
 
 def test_projective_plane_torsion():
-    rp2 = SimplicialComplex(
-        range(6),
-        [
-            (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
-            (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-        ],
-    )
-    s = pd.homology(rp2, reduced=True)
+    s = pd.homology(RP2, reduced=True)
     assert s.betti == (0, 0, 0)
     assert s.torsion == ((), (2,), ())
+
+
+# -- clearing against uncleared references ----------------------------------------
+
+
+def _subdivision(cx):
+    """Barycentric subdivision: the order complex of the face poset plus 0 and 1."""
+    faces = [f for level in cx.faces_by_dim() for f in level]
+    index = {f: k + 1 for k, f in enumerate(faces)}
+    top = len(faces) + 1
+    ups = [[] for _ in range(top + 1)]
+    for f in faces:
+        if len(f) == 1:
+            ups[0].append(index[f])
+        else:
+            for j in range(len(f)):
+                ups[index[f[:j] + f[j + 1 :]]].append(index[f])
+    for f in cx.facets:
+        ups[index[f]].append(top)
+    return pd.order_complex(pd.Poset(["0"] + faces + ["1"], ups))
+
+
+def _suspension(cx):
+    n = len(cx.vertices)
+    return SimplicialComplex(
+        range(n + 2), [f + (v,) for f in cx.facets for v in (n, n + 1)]
+    )
+
+
+def _uncleared_homology(cx, reduced, snf):
+    """(betti, torsion) from every full boundary matrix put through ``snf``.
+
+    ``snf`` maps a dense matrix to (invariant factors, rank); no column is
+    left out, so this is the reference the cleared computation must match.
+    """
+    cc = boundary_matrices(cx)
+    ranks = [0] * (cc.dims + 2)
+    factors = [[] for _ in range(cc.dims + 2)]
+    if reduced:
+        ranks[0] = 1
+    for d in range(1, cc.dims + 1):
+        factors[d], ranks[d] = snf(_dense_boundary(cc, d))
+    betti = tuple(
+        len(cc.bases[i]) - ranks[i] - ranks[i + 1] for i in range(cc.dims + 1)
+    )
+    torsion = tuple(
+        tuple(x for x in factors[i + 1] if x > 1) for i in range(cc.dims + 1)
+    )
+    return betti, torsion
+
+
+def _minors_feasible(cx):
+    f = cx.f_vector()
+    return all(comb(f[d - 1] + f[d], f[d]) <= 3000 for d in range(1, len(f)))
+
+
+def _check_against_uncleared(cx):
+    oracle = _minors_feasible(cx)
+    for reduced in (False, True):
+        s = pd.homology(cx, reduced=reduced, torsion=True)
+        want = _uncleared_homology(cx, reduced, smith_normal_form)
+        assert (s.betti, s.torsion) == want
+        if oracle:
+            assert _uncleared_homology(cx, reduced, snf_by_minors) == want
+        assert pd.homology(cx, reduced=reduced, torsion=False).betti == s.betti
+
+
+@given(bounded_posets(max_mid=6))
+@settings(max_examples=150, deadline=None)
+def test_clearing_matches_uncleared_on_order_complexes(poset):
+    _check_against_uncleared(pd.order_complex(poset))
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [RP2, _suspension(RP2), _subdivision(RP2), _pdiv_complex((4, 4))],
+    ids=["RP2", "susp-RP2", "sd-RP2", "P4,4"],
+)
+def test_clearing_matches_uncleared_with_torsion(cx):
+    _check_against_uncleared(cx)
 
 
 def test_p33_contractible_and_p44_ranks():

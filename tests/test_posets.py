@@ -250,6 +250,13 @@ def test_maximal_chains_examples():
         assert longest == max(vec)
 
 
+def test_maximal_chains_longer_than_recursion_limit():
+    import sys
+
+    n = sys.getrecursionlimit() + 100
+    assert pd.chain(n).maximal_chains() == [tuple(range(n + 1))]
+
+
 def test_maximal_chain_guard():
     with pytest.raises(pd.SizeGuardError):
         pd.boolean_lattice(5).maximal_chains(max_chains=10)
@@ -374,6 +381,9 @@ def test_poset_text_rejects_garbage():
         pd.Poset.from_text("covers:\n0 < 1\n")
     with pytest.raises(ValueError):
         pd.Poset.from_text("elements: 2\n0 a\n1 b\ncovers:\n0 < 1\nbottom: 1\n")
+    # a repeated index used to overwrite a label and leave another unset
+    with pytest.raises(ValueError, match="given twice"):
+        pd.Poset.from_text("elements: 2\n0 a\n0 b\ncovers:\n0<1\n")
 
 
 def test_cycle_rejected():
