@@ -188,10 +188,9 @@ def cmd_rao(args) -> int:
     if args.dual_lex is not None:
         vec = _parse_vector(args.dual_lex)
         cert = dual_lex_certificate(vec)
-        poset = proper_divisibility_poset(vec).dual()
-        ok, why = verify_rao(poset, cert)
-        print(json.dumps(cert.to_json_dict()))
-        print(f"verified: {'true' if ok else 'false'}")
+        sys.stdout.writelines(cert.iterencode())
+        ok, why = verify_rao(proper_divisibility_poset(vec).dual(), cert)
+        print(f"\nverified: {'true' if ok else 'false'}")
         if not ok:
             print(why, file=sys.stderr)
             return 1
@@ -207,7 +206,8 @@ def cmd_rao(args) -> int:
     if cert is None:
         print("none")
     else:
-        print(json.dumps(cert.to_json_dict()))
+        sys.stdout.writelines(cert.iterencode())
+        print()
     return 0
 
 
@@ -311,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.set_defaults(func=cmd_homology)
 
     p_table = sub.add_parser("table", help="recompute the Boolean product table")
-    p_table.add_argument(
-        "--paper-table", action="store_true", help="explicit flag for the default mode"
-    )
     p_table.add_argument("--json", action="store_true")
     p_table.add_argument("--csv", action="store_true")
     p_table.set_defaults(func=cmd_table)

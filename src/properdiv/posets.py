@@ -8,10 +8,26 @@ order queries are cheap even on posets with a few thousand elements.
 
 Posets are immutable after construction and all queries are pure, so
 instances can be shared freely between threads.
+
+Proper products, and P(a) as the proper product of the chains C_{a_k},
+are built straight from the factors' covers.  Write 0_k for the bottom of
+factor k.  A tuple ys covers xs exactly when xs < ys and
+
+(a) some x_k != 0_k is covered by y_k in factor k, or
+(b) xs is the bottom tuple and every y_k is 0_k or an atom.
+
+Proof: for xs < ys, a tuple zs lies strictly between them iff z_k = 0_k
+wherever y_k = 0_k, z_k < y_k elsewhere with x_k = z_k = 0_k or
+x_k < z_k, and zs != xs.  If some x_k != 0_k, then zs != xs holds by
+itself and a coordinate with x_k = 0_k can keep z_k = 0_k, so such a zs
+exists iff no x_k != 0_k is covered by y_k.  If xs is the bottom tuple,
+zs != xs needs some 0_k < z_k < y_k, which exists iff some y_k is
+neither 0_k nor an atom.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import product as _cartesian
 from math import prod
 
@@ -481,34 +497,15 @@ def boolean_lattice(n: int, max_n: int = DEFAULT_BOOLEAN_GUARD) -> Poset:
     return Poset(range(size), ups, validate=False)
 
 
-def _reduction_from_leq(strict_above: list[int], n: int) -> list[list[int]]:
-    """Transitive reduction given strict up-set bitmasks."""
-    strict_below = [0] * n
-    for i in range(n):
-        m = strict_above[i]
-        while m:
-            low = m & -m
-            strict_below[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    ups = [[] for _ in range(n)]
-    for i in range(n):
-        m = strict_above[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if not (strict_above[i] & strict_below[j]):
-                ups[i].append(j)
-            m ^= low
-    return ups
-
-
 def proper_divisibility_poset(
     a, max_elements: int = DEFAULT_ELEMENT_GUARD
 ) -> Poset:
     """All multidegrees <= a under proper divisibility; a itself is the top.
 
     Elements are indexed lexicographically by exponent vector with the top
-    last; covers are the transitive reduction of proper divisibility.
+    last.  u is covered by v iff u < v and either some u_k >= 1 has
+    v_k = u_k + 1, or u = 0 and every v_k is 0 or 1.  ``max_elements``
+    bounds the elements and the candidate covers (see ``proper_product``).
     """
     a = as_multidegree(a)
     count = prod(ai if ai >= 1 else 1 for ai in a) + (1 if any(a) else 0)
@@ -516,18 +513,7 @@ def proper_divisibility_poset(
         raise SizeGuardError(
             f"P{a} would have {count} elements (guard {max_elements})"
         )
-    ranges = [range(ai) if ai >= 1 else (0,) for ai in a]
-    grid = sorted(_cartesian(*ranges))
-    elements = grid + [a] if any(a) else grid
-    n = len(elements)
-    strict_above = [0] * n
-    for i, u in enumerate(elements):
-        m = 0
-        for j, v in enumerate(elements):
-            if i != j and properly_divides(u, v):
-                m |= 1 << j
-        strict_above[i] = m
-    return Poset(elements, _reduction_from_leq(strict_above, n), validate=False)
+    return _product_poset([chain(ai) for ai in a], max_elements)
 
 
 def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -> Poset:
@@ -536,41 +522,103 @@ def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -
     The elements are the tuples (x_1, ..., x_n) lying below the tuple of
     tops, where a tuple is below another iff each coordinate either sits at
     the factor's bottom on both sides or strictly increases.  Indexing is
-    lexicographic by factor element indices.
+    lexicographic by factor element indices.  ys covers xs iff xs < ys and
+    either some x_k above its bottom is covered by y_k, or xs is the bottom
+    tuple and every y_k is a bottom or an atom.  The down-covers of the
+    first kind are enumerated from the factors' covers and down-sets; their
+    number is counted first and refused past ``max_elements``, as is the
+    number of elements.
     """
     if len(factors) < 2:
         raise ValueError("proper_product needs at least two factors")
     for p in factors:
         if not p.is_bounded:
             raise ValueError("all factors must be bounded")
-    if prod(len(p) for p in factors) > max_elements:
-        raise SizeGuardError(f"product guard is {max_elements} candidate pairs")
+    return _product_poset(factors, max_elements)
 
-    tops = tuple(p.top for p in factors)
+
+def _product_poset(factors, max_elements: int) -> Poset:
+    """Proper product of bounded factors, covers by rules (a) and (b) above.
+
+    Under rule (a), x_k runs over the down-covers of y_k other than 0_k and
+    every other x_j over {0_j} if y_j = 0_j, else over the strict down-set
+    of y_j.
+    """
+    n = len(factors)
     bottoms = tuple(p.bottom for p in factors)
-
-    def leq(xs, ys):
-        if xs == ys:
-            return True
-        for p, bot, x, y in zip(factors, bottoms, xs, ys):
-            if x == y == bot:
-                continue
-            if not p.lt(x, y):
-                return False
-        return True
-
-    members = [
-        xs for xs in _cartesian(*(range(len(p)) for p in factors)) if leq(xs, tops)
+    tops = tuple(p.top for p in factors)
+    # members other than the top tuple sit below the top in each coordinate,
+    # or at it where the factor has one element
+    coords = [[y for y in range(len(p)) if y != p.top] or [p.top] for p in factors]
+    size = prod(len(c) for c in coords) + (tops != bottoms)
+    if size > max_elements:
+        raise SizeGuardError(
+            f"product would have {size} elements (guard {max_elements})"
+        )
+    # lower[k][y]: the values of x_k under rule (a) when y_k = y
+    lower = [
+        [tuple(x for x in p.downcovers[y] if x != p.bottom) for y in range(len(p))]
+        for p in factors
     ]
-    n = len(members)
-    if n > max_elements:
-        raise SizeGuardError(f"product guard is {max_elements} elements")
+    raised = [sum(len(lower[k][y]) for y in coords[k]) for k in range(n)]
+    # rest[j][y]: the values of x_j when y_j = y and rule (a) acts in another
+    # coordinate; if no other coordinate has such covers below the top, only
+    # the top tuple needs them, and the down-sets are never built
+    rest = []
+    for j, p in enumerate(factors):
+        if any(raised[:j] + raised[j + 1 :]):
+            masks = _strict_downsets(p, max_elements)
+            rest.append([tuple(_bits(m)) or (y,) for y, m in enumerate(masks)])
+        else:
+            rest.append({p.top: tuple(y for y in range(len(p)) if y != p.top) or (p.top,)})
+    candidates = 0
+    for k in range(n):
+        others = [j for j in range(n) if j != k]
+        candidates += len(lower[k][tops[k]]) * prod(len(rest[j][tops[j]]) for j in others)
+        if raised[k]:
+            candidates += raised[k] * prod(
+                sum(len(rest[j][y]) for y in coords[j]) for j in others
+            )
+    if candidates > max_elements:
+        raise SizeGuardError(
+            f"product would have {candidates} candidate covers (guard {max_elements})"
+        )
+
+    members = list(_cartesian(*coords))
+    if tops != bottoms:
+        insort(members, tops)
+    index = {xs: i for i, xs in enumerate(members)}
+    bottom = index[bottoms]
+    ups = [[] for _ in members]
+    for i, ys in enumerate(members):
+        found = set()
+        for k, y in enumerate(ys):
+            if lower[k][y]:
+                choices = [lower[k][y] if j == k else rest[j][ys[j]] for j in range(n)]
+                found.update(index[xs] for xs in _cartesian(*choices))
+        # found is empty iff every y_k is 0_k or an atom: rule (b)
+        if not found and i != bottom:
+            found.add(bottom)
+        for x in found:
+            ups[x].append(i)
     labels = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
-    strict_above = [0] * n
-    for i, xs in enumerate(members):
-        m = 0
-        for j, ys in enumerate(members):
-            if i != j and leq(xs, ys):
-                m |= 1 << j
-        strict_above[i] = m
-    return Poset(labels, _reduction_from_leq(strict_above, n), validate=False)
+    return Poset(labels, ups, validate=False)
+
+
+def _strict_downsets(p: Poset, budget: int) -> list[int]:
+    """Bitmask of the elements strictly below each element of ``p``.
+
+    Refused once the down-sets below the top hold over ``budget`` elements.
+    """
+    masks = [0] * len(p)
+    total = 0
+    for y in p._topo:
+        for x in p.downcovers[y]:
+            masks[y] |= masks[x] | 1 << x
+        if y != p.top:
+            total += masks[y].bit_count()
+            if total > budget:
+                raise SizeGuardError(
+                    f"product would have more than {budget} candidate covers"
+                )
+    return masks

@@ -22,6 +22,7 @@ element (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 in its interior.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .errors import SizeGuardError
@@ -45,29 +46,71 @@ class RaoCertificate:
 
     ``children`` is None exactly when the certified interval has length at
     most one (nothing to check there); otherwise ``children[j]`` certifies
-    the interval above ``ordering[j]``.
+    the interval above ``ordering[j]``.  Children may be shared, but the
+    JSON form spells every one out, so it may hold at most
+    DEFAULT_CHAIN_GUARD nodes.  The serializers walk explicit stacks:
+    certificates nest once per step of a maximal chain, deeper than the
+    interpreter's recursion limit.
     """
 
     ordering: tuple
     children: tuple["RaoCertificate", ...] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "ordering": [_label_json(x) for x in self.ordering],
-            "children": None
-            if self.children is None
-            else [c.to_json_dict() for c in self.children],
-        }
+        """Nested ``{"ordering": [...], "children": [...] | None}`` dicts.
+
+        A shared child becomes one dict shared by its parents.
+        """
+        done: dict[int, dict] = {}
+        size: dict[int, int] = {}  # nodes of the JSON tree below each node
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            kids = node.children or ()
+            pending = [c for c in kids if id(c) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if id(node) in done:  # pushed by two parents
+                continue
+            size[id(node)] = 1 + sum(size[id(c)] for c in kids)
+            done[id(node)] = {
+                "ordering": [_label_json(x) for x in node.ordering],
+                "children": None if node.children is None else [done[id(c)] for c in kids],
+            }
+        if size[id(self)] > DEFAULT_CHAIN_GUARD:
+            raise SizeGuardError(
+                f"certificate tree has {size[id(self)]} nodes "
+                f"(guard {DEFAULT_CHAIN_GUARD})"
+            )
+        return done[id(self)]
+
+    def iterencode(self):
+        """The text of ``json.dumps(self.to_json_dict())``, piece by piece."""
+        heads: dict[int, str] = {}
+        stack = [enumerate((self.to_json_dict(),))]
+        while stack:
+            j, node = next(stack[-1], (0, None))
+            if node is None:
+                stack.pop()
+                if stack:
+                    yield "]}"
+                continue
+            head = heads.get(id(node))
+            if head is None:
+                ordering = json.dumps(node["ordering"])
+                end = "null}" if node["children"] is None else "["
+                head = heads[id(node)] = f'{{"ordering": {ordering}, "children": {end}'
+            yield ", " + head if j else head
+            if node["children"] is not None:
+                stack.append(enumerate(node["children"]))
 
 
 def _label_json(label):
     if isinstance(label, tuple):
         return [_label_json(x) for x in label]
     return label
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 class _IntervalContext:
@@ -85,7 +128,7 @@ class _IntervalContext:
 
     def is_short(self, x: int) -> bool:
         # the interval [x, top] has length <= 1 iff it has <= 2 elements
-        return _popcount(self.above[x]) <= 2
+        return self.above[x].bit_count() <= 2
 
     def condition_ii_ok(self, atom: int, prefix_mask: int) -> bool:
         """Condition (ii) for ``atom`` given the earlier atoms' strict up-sets."""
@@ -113,21 +156,12 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     not permutations of the proper atom sets.
     """
     ctx = _IntervalContext(p)
-    memo: dict = {}
 
     def label_of(x):
         return p.labels[x]
 
     def check(x: int, node: RaoCertificate, required_first: frozenset[int]):
-        key = (x, required_first, id(node))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = _check_inner(x, node, required_first)
-        memo[key] = result
-        return result
-
-    def _check_inner(x, node, required_first):
+        # yields each child interval to check and is sent its result
         atoms = ctx.up[x]
         try:
             ordering = tuple(p.index_of(lab) for lab in node.ordering)
@@ -164,13 +198,30 @@ def verify_rao(p: Poset, cert: RaoCertificate):
                     f"condition (ii) fails for atom {label_of(atom)!r} at "
                     f"position {j} in the interval above {label_of(x)!r}",
                 )
-            ok, why = check(atom, node.children[j], ctx.f_atoms(atom, prefix_mask))
+            ok, why = yield atom, node.children[j], ctx.f_atoms(atom, prefix_mask)
             if not ok:
                 return False, why
             prefix_mask |= ctx.strict_above[atom]
         return True, None
 
-    return check(p.bottom, cert, frozenset())
+    # depth-first on an explicit stack: certificates nest once per step of a
+    # maximal chain, deeper than the interpreter's recursion limit
+    memo: dict = {}
+    stack = [((p.bottom, frozenset(), id(cert)), check(p.bottom, cert, frozenset()))]
+    result = None
+    while stack:
+        key, walk = stack[-1]
+        try:
+            x, node, required_first = walk.send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = memo[key] = done.value
+            continue
+        key = (x, required_first, id(node))
+        result = memo.get(key)
+        if result is None:
+            stack.append((key, check(x, node, required_first)))
+    return result
 
 
 def search_rao(p: Poset, max_elements: int = DEFAULT_RAO_GUARD):
@@ -259,13 +310,10 @@ def dual_lex_certificate(a, max_elements: int = DEFAULT_ELEMENT_GUARD) -> RaoCer
     poset = proper_divisibility_poset(a, max_elements=max_elements)
     down = poset.downcovers
     labels = poset.labels
-    memo: dict[int, RaoCertificate] = {}
-
-    def cert_for(idx: int) -> RaoCertificate:
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        vec = labels[idx]
+    certs: list[RaoCertificate] = []
+    # index order is lexicographic, a linear extension of P(a): every
+    # down-cover's certificate is built before it is needed
+    for idx, vec in enumerate(labels):
         if all(x <= 1 for x in vec):
             cert = RaoCertificate(
                 ordering=tuple(labels[k] for k in down[idx]), children=None
@@ -274,12 +322,10 @@ def dual_lex_certificate(a, max_elements: int = DEFAULT_ELEMENT_GUARD) -> RaoCer
             order = sorted(down[idx], key=lambda k: tuple(-x for x in labels[k]))
             cert = RaoCertificate(
                 ordering=tuple(labels[k] for k in order),
-                children=tuple(cert_for(k) for k in order),
+                children=tuple(certs[k] for k in order),
             )
-        memo[idx] = cert
-        return cert
-
-    return cert_for(poset.index_of(a))
+        certs.append(cert)
+    return certs[poset.index_of(a)]
 
 
 # -- falling chains (two coordinates) ----------------------------------------
@@ -329,25 +375,24 @@ def falling_chains(
     zero = (0, 0)
     out: list[FallingChain] = []
     path: list[tuple[int, int]] = [(a, b)]
-
-    def walk(idx: int):
-        vec = labels[idx]
-        dec = least_atom(vec)
-        for k in down[idx]:
-            z = labels[k]
-            if z == zero:
-                if length is None or len(path) == length:
-                    if len(out) >= max_chains:
-                        raise SizeGuardError(f"more than {max_chains} falling chains")
-                    out.append(FallingChain(tuple(path) + (zero,)))
-                continue
-            if z == dec or is_border(z):
-                continue
-            path.append(z)
-            walk(k)
+    # depth-first with one (down-cover iterator, decrement) per path element
+    stack = [(iter(down[poset.index_of((a, b))]), least_atom((a, b)))]
+    while stack:
+        covers, dec = stack[-1]
+        k = next(covers, None)
+        if k is None:
+            stack.pop()
             path.pop()
-
-    walk(poset.index_of((a, b)))
+            continue
+        z = labels[k]
+        if z == zero:
+            if length is None or len(path) == length:
+                if len(out) >= max_chains:
+                    raise SizeGuardError(f"more than {max_chains} falling chains")
+                out.append(FallingChain(tuple(path) + (zero,)))
+        elif z != dec and not is_border(z):
+            path.append(z)
+            stack.append((iter(down[k]), least_atom(z)))
     return out
 
 

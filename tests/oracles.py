@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's own algorithms: the Mobius number
-comes from chain counting, invariant factors from gcds of minors, and
-comparability from transitive closure over the cover relation.
+comes from chain counting, invariant factors from gcds of minors,
+comparability from transitive closure over the cover relation, and the
+covers of P(a) and of proper products from comparing all pairs.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 
@@ -100,3 +101,49 @@ def count_chains_by_length(poset):
         for size, cnt in table.items():
             totals[size] = totals.get(size, 0) + cnt
     return totals
+
+
+def _covers_by_all_pairs(members, leq):
+    """Upcovers as the transitive reduction of ``leq`` over all pairs."""
+    n = len(members)
+    above = [
+        {j for j in range(n) if j != i and leq(members[i], members[j])}
+        for i in range(n)
+    ]
+    return tuple(
+        tuple(sorted(j for j in above[i] if not any(j in above[k] for k in above[i])))
+        for i in range(n)
+    )
+
+
+def all_pairs_proper_divisibility(a):
+    """(labels, upcovers) of P(a) by comparing every pair of multidegrees."""
+    grid = sorted(product(*(range(x) if x else (0,) for x in a)))
+    members = grid + [tuple(a)] if any(a) else grid
+
+    def leq(u, v):
+        return u == v or all(x == y == 0 or x < y for x, y in zip(u, v))
+
+    return tuple(members), _covers_by_all_pairs(members, leq)
+
+
+def all_pairs_proper_product(*factors):
+    """(labels, upcovers) of a proper product by comparing every pair of tuples.
+
+    Comparability inside each factor comes from closing its covers.
+    """
+    strict = [closure_from_covers(p) for p in factors]
+    bottoms = tuple(p.bottom for p in factors)
+    tops = tuple(p.top for p in factors)
+
+    def leq(xs, ys):
+        return xs == ys or all(
+            x == y == bot or (x, y) in lt
+            for lt, bot, x, y in zip(strict, bottoms, xs, ys)
+        )
+
+    members = [
+        xs for xs in product(*(range(len(p)) for p in factors)) if leq(xs, tops)
+    ]
+    labels = tuple(tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members)
+    return labels, _covers_by_all_pairs(members, leq)

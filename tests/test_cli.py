@@ -162,6 +162,33 @@ def test_rao_dual_lex(capsys):
     assert cert["ordering"][0] == [2, 2, 2]
 
 
+def test_rao_dual_lex_deeper_than_recursion_limit(capsys):
+    # the certificate nests 1200 levels deep and spells out
+    # (b - 1) b / 2 + b + 1 nodes for b = 1200
+    code, out, err = run(capsys, "rao", "--dual-lex", "2,1200")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "verified: true"
+    assert lines[0].startswith('{"ordering": [[1, 1199], ')
+    assert lines[0].count('"ordering"') == 1199 * 1200 // 2 + 1201
+
+
+def test_rao_dual_lex_tree_guard(capsys):
+    code, out, err = run(capsys, "rao", "--dual-lex", "20,20")
+    assert code == 3
+    assert out == ""
+    assert err == "error: certificate tree has 5414619738 nodes (guard 1000000)\n"
+
+
+def test_homology_guard_counts_cover_candidates(capsys):
+    # about 10**6 elements but 10**9 candidate covers
+    code, out, err = run(capsys, "homology", "pdiv", "999,999")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: product would have 994014986 candidate covers (guard 1000000)\n"
+    )
+
+
 def test_rao_requires_mode(capsys):
     code, _, err = run(capsys, "rao", "pdiv", "2,2")
     assert code == 2
@@ -225,9 +252,13 @@ def test_table_formatting_and_exit(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--json")
     assert json.loads(out)[0]["match"] is True
     monkeypatch.setattr(cli, "REFERENCE_TABLE", ((1, 2, (9, 9)),))
-    code, out, _ = run(capsys, "table", "--paper-table")
+    code, out, _ = run(capsys, "table")
     assert code == 1
     assert "match: NO" in out
+    # the former no-op --paper-table flag is now a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--paper-table"])
+    assert exc.value.code == 2
 
 
 def test_outputs_deterministic(capsys):

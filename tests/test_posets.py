@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 import properdiv as pd
 from properdiv.posets import pd_le, properly_divides
 
-from oracles import closure_from_covers, hall_mobius
+from oracles import (
+    all_pairs_proper_divisibility,
+    all_pairs_proper_product,
+    closure_from_covers,
+    hall_mobius,
+)
 from strategies import bounded_posets
 
 
@@ -196,6 +201,80 @@ def test_product_requires_bounded():
 def test_b2_b6_product_size():
     prod = pd.proper_product(pd.boolean_lattice(2), pd.boolean_lattice(6))
     assert len(prod) == 3 * 63 + 1
+
+
+# -- covers against the all-pairs reference -----------------------------------
+
+
+def _assert_matches(poset, reference):
+    labels, upcovers = reference
+    assert poset.labels == labels
+    assert poset.upcovers == upcovers
+
+
+def test_pdiv_covers_match_all_pairs_reference():
+    vecs = [(0,), (0, 0, 0, 0), (3, 0, 2), (1, 1, 1, 1), (2, 2, 2, 2), (2, 0, 1, 3)]
+    for n, hi in ((1, 6), (2, 6), (3, 5)):
+        vecs += cartesian(range(hi), repeat=n)
+    for vec in vecs:
+        _assert_matches(
+            pd.proper_divisibility_poset(vec), all_pairs_proper_divisibility(vec)
+        )
+
+
+def _small_factors():
+    base = [
+        pd.chain(0),
+        pd.chain(1),
+        pd.chain(3),
+        pd.boolean_lattice(2),
+        pd.boolean_lattice(3),
+        pd.proper_divisibility_poset((2, 3)),
+    ]
+    return base + [p.dual() for p in base]
+
+
+def test_product_covers_match_all_pairs_reference():
+    factors = _small_factors()
+    for p in factors:
+        for q in factors:
+            _assert_matches(pd.proper_product(p, q), all_pairs_proper_product(p, q))
+    c0, c1, c3, b2, b3, p23 = factors[:6]
+    # three and four factors, mixed with duals and one-element factors
+    for combo in [
+        (b2, pd.chain(2), b2.dual()),
+        (p23, pd.chain(2), c0),
+        (c1, c3.dual(), b2, c0),
+        (p23.dual(), b3, c1),
+    ]:
+        _assert_matches(pd.proper_product(*combo), all_pairs_proper_product(*combo))
+
+
+@given(
+    st.lists(st.tuples(bounded_posets(max_mid=3), st.booleans()), min_size=2, max_size=3)
+)
+@settings(max_examples=80, deadline=None)
+def test_product_covers_match_reference_on_random_factors(drawn):
+    factors = [p.dual() if flip else p for p, flip in drawn]
+    _assert_matches(pd.proper_product(*factors), all_pairs_proper_product(*factors))
+
+
+def test_candidate_cover_guard_is_exact():
+    # P(4, 4): rule (a) offers 2 * 2 * 7 candidates below the tuples other
+    # than the top and 2 * 4 below the top
+    assert len(pd.proper_divisibility_poset((4, 4), max_elements=36)) == 17
+    with pytest.raises(pd.SizeGuardError, match="36 candidate covers"):
+        pd.proper_divisibility_poset((4, 4), max_elements=35)
+
+
+def test_guard_refuses_before_enumerating():
+    # the long coordinate's down-sets alone pass the guard
+    with pytest.raises(pd.SizeGuardError, match="more than 1000000 candidate covers"):
+        pd.proper_divisibility_poset((3, 3000))
+    # where no cover pairs with a down-set, long chains cost nothing extra
+    assert len(pd.proper_divisibility_poset((2, 5000))) == 10001
+    p = pd.proper_divisibility_poset((60, 60))
+    assert len(p) == 3601 and p.length() == 60
 
 
 # -- dual, interval, atoms, chains ---------------------------------------------

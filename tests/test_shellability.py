@@ -1,3 +1,4 @@
+import json
 from itertools import product as cartesian
 
 import pytest
@@ -252,6 +253,30 @@ def test_fch_matches_homology_oracle(pab_reduced):
             assert got == summary.rank(i), (a, b, i)
 
 
+def _swap_first_atoms_of_first_child(cert):
+    child = cert.children[0]
+    order = (1, 0) + tuple(range(2, len(child.ordering)))
+    swapped = RaoCertificate(
+        tuple(child.ordering[i] for i in order), tuple(child.children[i] for i in order)
+    )
+    return RaoCertificate(cert.ordering, (swapped,) + cert.children[1:])
+
+
+def test_verify_reports_violations_below_the_root():
+    # one level down: the interval above (2, 3) in the dual of P(3, 4)
+    bad = _swap_first_atoms_of_first_child(pd.dual_lex_certificate((3, 4)))
+    assert pd.verify_rao(_dual_pdiv((3, 4)), bad) == (
+        False,
+        "condition (ii) fails for atom (1, 2) at position 1 in the interval above (2, 3)",
+    )
+    # two levels down: the child's children now need (1, 0) first above (2, 2)
+    bad = _swap_first_atoms_of_first_child(pd.dual_lex_certificate((4, 4)))
+    assert pd.verify_rao(_dual_pdiv((4, 4)), bad) == (
+        False,
+        "condition (i): atoms [(1, 0)] must come first in the interval above (2, 2)",
+    )
+
+
 # -- JSON shapes ----------------------------------------------------------------
 
 
@@ -260,6 +285,23 @@ def test_certificate_json_shape():
     d = cert.to_json_dict()
     assert d["ordering"] == [[1, 1], [1, 0], [0, 1]]
     assert all(child["children"] is None for child in d["children"])
+
+
+def test_certificate_text_matches_json_dumps():
+    certs = [
+        pd.dual_lex_certificate(vec) for vec in [(0,), (1, 1), (2, 2), (3, 1, 2), (2, 100)]
+    ]
+    certs.append(pd.search_rao(pd.proper_divisibility_poset((4, 4)).dual()))
+    for cert in certs:
+        assert "".join(cert.iterencode()) == json.dumps(cert.to_json_dict())
+
+
+def test_certificate_tree_guard():
+    cert = pd.dual_lex_certificate((20, 20))
+    with pytest.raises(pd.SizeGuardError, match="5414619738 nodes"):
+        cert.to_json_dict()
+    with pytest.raises(pd.SizeGuardError, match="5414619738 nodes"):
+        next(cert.iterencode())
 
 
 def test_falling_chain_json():
