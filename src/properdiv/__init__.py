@@ -13,9 +13,7 @@ from .posets import (
 )
 from .complexes import SimplicialComplex, order_complex
 from .homology import (
-    ChainComplexZ,
     HomologySummary,
-    boundary_matrices,
     homology,
     smith_normal_form,
 )
@@ -34,7 +32,6 @@ from .shellability import (
 from . import formulas
 
 __all__ = [
-    "ChainComplexZ",
     "FallingChain",
     "HomologySummary",
     "Poset",
@@ -44,7 +41,6 @@ __all__ = [
     "as_multidegree",
     "betti_from_falling_chains",
     "boolean_lattice",
-    "boundary_matrices",
     "chain",
     "check_final_increments",
     "dual_lex_certificate",

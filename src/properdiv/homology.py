@@ -5,9 +5,8 @@ sparse column representation and repeatedly pivots on entries equal to
 +-1, chosen by an approximate Markowitz (minimum fill) rule; such pivots
 need no division and contribute invariant factor 1.  Whatever survives is
 densified and finished with a classical Smith normal form (smallest
-nonzero pivot, remainder swaps), or with fraction-free Gaussian
-elimination when only the rank is needed.  All arithmetic is on Python
-integers, so intermediate entry growth is harmless.
+nonzero pivot, remainder swaps), whether or not torsion is asked for.  All
+arithmetic is on Python integers, so intermediate entry growth is harmless.
 
 :func:`homology` reduces the maps top-down, from the top dimension to 1,
 and clears as it goes (Chen & Kerber's "twist"): every row of a +-1 pivot
@@ -40,13 +39,7 @@ def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> list[int]:
     for cid, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(cid)
-    heap = []
-    for cid, col in cols.items():
-        width = len(col) - 1
-        for r, v in col.items():
-            if v == 1 or v == -1:
-                heap.append(((len(rows[r]) - 1) * width, r, cid))
-    heapq.heapify(heap)
+    heap = []  # seeded with every +-1 entry on the first pass below
     pivot_rows = []
     while cols:
         pivot = None
@@ -187,51 +180,10 @@ def _snf_dense(mat: list[list[int]]) -> list[int]:
     return factors
 
 
-def _rank_dense(mat: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in mat]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    t = 0
-    while t < nr and t < nc:
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        p = m[t][t]
-        for i in range(t + 1, nr):
-            mi, mt = m[i], m[t]
-            f = mi[t]
-            for j in range(t, nc):
-                mi[j] = (mi[j] * p - f * mt[j]) // prev
-        prev = p
-        t += 1
-    return t
-
-
-def _snf_of_columns(cols, want_factors: bool):
-    """(rank, invariant factors or None, rows of the sparse unit pivots)."""
+def _snf_of_columns(cols):
+    """(rows of the sparse unit pivots, invariant factors of the dense residual)."""
     pivot_rows = _eliminate_unit_pivots(cols)
-    rank1 = len(pivot_rows)
-    if not cols:
-        return rank1, [1] * rank1 if want_factors else None, pivot_rows
-    dense = _densify(cols)
-    if want_factors:
-        tail = _snf_dense(dense)
-        return rank1 + len(tail), [1] * rank1 + tail, pivot_rows
-    return rank1 + _rank_dense(dense), None, pivot_rows
+    return pivot_rows, _snf_dense(_densify(cols))
 
 
 # -- public matrix operations ----------------------------------------------
@@ -256,45 +208,11 @@ def _columns_of(rows: list[list[int]]) -> dict[int, dict[int, int]]:
 
 def smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr and the rank r of an integer matrix."""
-    rows = _as_rows(matrix)
-    rank, factors, _ = _snf_of_columns(_columns_of(rows), want_factors=True)
-    return factors, rank
+    pivot_rows, tail = _snf_of_columns(_columns_of(_as_rows(matrix)))
+    return [1] * len(pivot_rows) + tail, len(pivot_rows) + len(tail)
 
 
-def rational_rank(matrix) -> int:
-    """Rank over the rationals, by fraction-free elimination only."""
-    rows = _as_rows(matrix)
-    return _rank_dense(rows) if rows else 0
-
-
-# -- chain complexes ---------------------------------------------------------
-
-
-Column = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class ChainComplexZ:
-    """Simplicial chain complex over the integers.
-
-    ``bases[d]`` lists the dimension-d faces in the order indexing the
-    matrices; ``boundary(d)`` returns the columns of the map from d-chains
-    to (d-1)-chains as ``((row, coeff), ...)`` tuples.  The augmentation is
-    the all-ones row sending every vertex to the empty face.
-    """
-
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[tuple[Column, ...], ...]
-    augmentation: tuple[int, ...] | None
-
-    @property
-    def dims(self) -> int:
-        return len(self.bases) - 1
-
-    def boundary(self, d: int) -> tuple[Column, ...]:
-        if not 1 <= d <= self.dims:
-            raise ValueError(f"no boundary map in dimension {d}")
-        return self.boundaries[d - 1]
+# -- boundary maps -----------------------------------------------------------
 
 
 def _boundary_columns(lower_index, upper_faces, skip=frozenset()):
@@ -310,29 +228,6 @@ def _boundary_columns(lower_index, upper_faces, skip=frozenset()):
             lower_index[face[:j] + face[j + 1 :]]: -1 if j & 1 else 1
             for j in range(len(face))
         }
-
-
-def boundary_matrices(
-    k: SimplicialComplex, max_faces: int | None = None
-) -> ChainComplexZ:
-    """Bases and signed boundary maps of every dimension of ``k``."""
-    faces = k.faces_by_dim(max_faces)
-    if not faces:
-        return ChainComplexZ(bases=(), boundaries=(), augmentation=None)
-    boundaries = []
-    for d in range(1, len(faces)):
-        lower_index = {f: i for i, f in enumerate(faces[d - 1])}
-        boundaries.append(
-            tuple(
-                tuple(col.items())
-                for _, col in _boundary_columns(lower_index, faces[d])
-            )
-        )
-    return ChainComplexZ(
-        bases=tuple(tuple(level) for level in faces),
-        boundaries=tuple(boundaries),
-        augmentation=(1,) * len(faces[0]),
-    )
 
 
 # -- homology ---------------------------------------------------------------
@@ -376,8 +271,8 @@ def homology(
 
     ``betti[i]`` is the nullity of the i-th boundary map minus the rank of
     the (i+1)-st; torsion in degree i lists the invariant factors > 1 of
-    the (i+1)-st map.  With ``torsion=False`` only ranks are computed
-    (fraction-free fallback instead of full Smith form).
+    the (i+1)-st map.  With ``torsion=False`` the ranks come from the same
+    elimination and the summary leaves the torsion out.
     """
     faces = k.faces_by_dim(max_faces)
     if not faces:
@@ -389,18 +284,17 @@ def homology(
         )
     dim = len(faces) - 1
     ranks = [0] * (dim + 2)
-    factor_lists: list[list[int] | None] = [None] * (dim + 2)
+    # invariant factors of each map's dense residual; unit pivots add only 1s
+    tails: list[list[int]] = [[] for _ in range(dim + 2)]
     if reduced and faces[0]:
         ranks[0] = 1
-        factor_lists[0] = [1]
     cleared: set[int] = set()
     for d in range(dim, 0, -1):
         lower_index = {f: i for i, f in enumerate(faces[d - 1])}
         cols = dict(_boundary_columns(lower_index, faces[d], skip=cleared))
         del lower_index
-        ranks[d], factor_lists[d], pivot_rows = _snf_of_columns(
-            cols, want_factors=torsion
-        )
+        pivot_rows, tails[d] = _snf_of_columns(cols)
+        ranks[d] = len(pivot_rows) + len(tails[d])
         # the (d-1)-faces that were unit pivot rows of this map are the
         # columns the next map down can leave out (module docstring)
         cleared = set(pivot_rows)
@@ -409,7 +303,7 @@ def homology(
     )
     if torsion:
         torsion_lists = tuple(
-            tuple(x for x in (factor_lists[i + 1] or []) if x > 1)
+            tuple(x for x in tails[i + 1] if x > 1)
             for i in range(dim + 1)
         )
     else:

@@ -325,7 +325,8 @@ class Poset:
     def isomorphism_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
         """An index bijection preserving covers both ways, or None.
 
-        Backtracking over elements ordered by rarest refined color first.
+        Backtracking over elements ordered by rarest refined color first,
+        on an explicit stack of candidate iterators, one per placed element.
         """
         if len(self) > max_elements or len(other) > max_elements:
             raise SizeGuardError(f"isomorphism guard is {max_elements} elements")
@@ -374,22 +375,29 @@ class Poset:
                     return False
             return True
 
-        def place(pos):
-            if pos == n:
-                return True
-            i = order[pos]
-            for j in by_color[ca[i]]:
-                if inverse[j] == -1 and compatible(i, j):
-                    image[i] = j
-                    inverse[j] = i
-                    if place(pos + 1):
-                        return True
-                    inverse[j] = -1
-                    image[i] = -1
-            return False
+        def candidates(i):
+            # lazy, so each test sees the placements made before it
+            return (
+                j for j in by_color[ca[i]] if inverse[j] == -1 and compatible(i, j)
+            )
 
-        if place(0):
-            return list(image)
+        if not n:
+            return []
+        stack = [candidates(order[0])]
+        while stack:
+            i = order[len(stack) - 1]
+            if image[i] != -1:  # every extension of this placement failed
+                inverse[image[i]] = -1
+                image[i] = -1
+            j = next(stack[-1], None)
+            if j is None:
+                stack.pop()
+                continue
+            image[i] = j
+            inverse[j] = i
+            if len(stack) == n:
+                return list(image)
+            stack.append(candidates(order[len(stack)]))
         return None
 
     def is_isomorphic_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
@@ -420,6 +428,12 @@ class Poset:
         if not lines or not lines[0].startswith("elements:"):
             raise ValueError("poset text must start with an 'elements:' line")
         n = int(lines[0].split(":", 1)[1])
+        # checked before anything of size n is allocated
+        if not 0 <= n < len(lines):
+            raise ValueError(
+                f"element count {n} is negative or exceeds the "
+                f"{len(lines) - 1} lines that follow"
+            )
         labels: list[str | None] = [None] * n
         pos = 1
         for _ in range(n):
@@ -449,6 +463,8 @@ class Poset:
                 if len(parts) != 2:
                     raise ValueError(f"bad cover line: {ln!r}")
                 i, j = int(parts[0]), int(parts[1])
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"cover index out of range: {ln!r}")
                 ups[i].append(j)
         poset = cls(labels, ups, validate=True)
         if declared_bottom is not None and poset.bottom != declared_bottom:

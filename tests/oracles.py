@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's own algorithms: the Mobius number
-comes from chain counting, invariant factors from gcds of minors,
-comparability from transitive closure over the cover relation, and the
-covers of P(a) and of proper products from comparing all pairs.
+comes from chain counting, invariant factors from gcds of minors, ranks
+from elimination over the rationals, comparability from transitive closure
+over the cover relation, boundary matrices and the covers of P(a) and of
+proper products from comparing all pairs.
 """
 
 from fractions import Fraction
@@ -64,6 +65,48 @@ def _det(mat) -> int:
                 m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     assert det.denominator == 1
     return det.numerator
+
+
+def rank_over_rationals(rows) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def dense_boundaries(facets):
+    """(faces by dimension, dense boundary matrices) of the complex of ``facets``.
+
+    The faces are the nonempty vertex subsets of the facets, each sorted.
+    Entry (r, c) of the d-th matrix is (-1)**j when the r-th (d-1)-face is
+    the c-th d-face without its j-th vertex, found by comparing every pair
+    of faces, and 0 otherwise.
+    """
+    found = {
+        sub for f in facets for k in range(1, len(f) + 1) for sub in combinations(sorted(f), k)
+    }
+    top = max((len(f) for f in found), default=0)
+    faces = [sorted(f for f in found if len(f) == d + 1) for d in range(top)]
+    matrices = []
+    for d in range(1, len(faces)):
+        mat = [[0] * len(faces[d]) for _ in faces[d - 1]]
+        for r, low in enumerate(faces[d - 1]):
+            for c, up in enumerate(faces[d]):
+                if set(low) <= set(up):
+                    (gone,) = set(up) - set(low)
+                    mat[r][c] = (-1) ** up.index(gone)
+        matrices.append(mat)
+    return faces, matrices
 
 
 def snf_by_minors(rows):

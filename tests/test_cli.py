@@ -1,9 +1,14 @@
 import json
+import shlex
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import properdiv as pd
 from properdiv.cli import main, parse_descriptor
+
+from strategies import bounded_posets
 
 
 def run(capsys, *argv):
@@ -104,6 +109,21 @@ def test_homology_file_with_repeated_index(capsys, tmp_path):
     code, _, err = run(capsys, "homology", "file", str(path))
     assert code == 2
     assert "given twice" in err
+
+
+def test_malformed_poset_files_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in (
+        "elements: 2\n0 a\n1 b\ncovers:\n-1 < 0\n",
+        "elements: 2\n0 a\n1 b\ncovers:\n7 < 0\n",
+        "elements: -1\ncovers:\n0 < 1\n",
+        "elements: 20000000\ncovers:\n0 < 1\n",
+    ):
+        path.write_text(text)
+        for argv in (["homology", "file", str(path)], ["rao", "--search", "file", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (text, argv)
+            assert err.startswith("error: ") and err.count("\n") == 1, (text, argv)
 
 
 # -- falling --------------------------------------------------------------------
@@ -268,3 +288,93 @@ def test_outputs_deterministic(capsys):
     a = run(capsys, "homology", "pdiv", "5,6", "--reduced", "--torsion", "--json")
     b = run(capsys, "homology", "pdiv", "5,6", "--reduced", "--torsion", "--json")
     assert a == b
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+_BAD_TOKENS = ["", "x", "-1", "3,,3", "1e3", "99999999", "pdiv", "bool", "prod", "file"]
+_JUNK_LINES = ["elements: x", "covers:", "0 < 0", "1 < 0", "x < y", "<", "0 x", "bottom: 9", "top: -1"]
+
+
+@st.composite
+def _descriptors(draw, nested=True):
+    """Descriptor tokens of the CLI grammar, small, some of them malformed.
+
+    ``FILE`` stands for the path of the poset text file written by the test.
+    """
+    # files twice as often as the other kinds: their text is drawn too
+    kinds = ["pdiv", "bool", "file", "file", "bad"] + (["prod"] if nested else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pdiv":
+        entries = st.integers(0, 4).map(str)
+        coords = draw(st.lists(entries, min_size=1, max_size=3 if nested else 2))
+        return ["pdiv", ",".join(coords)]
+    if kind == "bool":
+        return ["bool", str(draw(st.integers(0, 4)))]
+    if kind == "file":
+        return ["file", draw(st.sampled_from(["FILE", "FILE.missing"]))]
+    if kind == "prod":
+        left, right = draw(_descriptors(nested=False)), draw(_descriptors(nested=False))
+        return ["prod", shlex.join(left), shlex.join(right)]
+    return draw(st.lists(st.sampled_from(_BAD_TOKENS), min_size=1, max_size=3))
+
+
+@st.composite
+def _poset_files(draw):
+    """(text, clean, bad): a random bounded poset's text, possibly mutated.
+
+    ``clean`` when the text is unchanged; ``bad`` when a mutation makes it
+    malformed by construction: a cover index outside [0, n) or an element
+    count that is negative or exceeds the lines that follow.
+    """
+    p = draw(bounded_posets(max_mid=3))
+    n = len(p)
+    lines = p.to_text().splitlines()
+    kinds = ["junk", "drop", "cover", "count"]
+    mutations = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    bad = False
+    # the mutations that make a file bad come last, so none undoes them
+    for kind in sorted(mutations, key=kinds.index):
+        if kind in ("junk", "drop"):
+            k = draw(st.integers(0, len(lines) - 1))
+            if kind == "junk":
+                lines[k] = draw(st.sampled_from(_JUNK_LINES))
+            elif len(lines) > 1:
+                del lines[k]
+        elif kind == "cover":
+            i, j = draw(st.integers(-3, n + 3)), draw(st.integers(-3, n + 3))
+            lines.append(f"{i} < {j}")
+            bad = bad or not (0 <= i < n and 0 <= j < n)
+        else:
+            lines[0] = f"elements: {draw(st.sampled_from([-1, len(lines), 20_000_000]))}"
+            bad = True
+    return "\n".join(lines) + "\n", not mutations, bad
+
+
+@given(
+    command=st.sampled_from(
+        [["homology"], ["homology", "--reduced", "--torsion"], ["homology", "--json"],
+         ["rao", "--search"], ["rao", "--search", "--dual"]]
+    ),
+    descriptor=_descriptors(),
+    poset_file=_poset_files(),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_fuzz_exit_codes(capsys, tmp_path, command, descriptor, poset_file):
+    text, clean, bad = poset_file
+    path = tmp_path / "poset.txt"
+    path.write_text(text)
+    argv = command + [tok.replace("FILE", str(path)) for tok in descriptor]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert (code == 0) == (err == ""), err
+    if descriptor == ["file", "FILE"]:
+        if bad:
+            assert code == 2, (text, err)
+        elif clean:
+            assert code == 0, (text, err)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import properdiv as pd
-from properdiv.homology import boundary_matrices, rational_rank, smith_normal_form
+from properdiv.homology import _boundary_columns, smith_normal_form
 from properdiv.complexes import SimplicialComplex
 
-from oracles import snf_by_minors
+from oracles import dense_boundaries, rank_over_rationals, snf_by_minors
 from strategies import bounded_posets
 
 RP2 = SimplicialComplex(
@@ -58,88 +58,74 @@ def test_snf_matches_minors_oracle(rows):
     assert factors == want_factors
     for i in range(1, len(factors)):
         assert factors[i] % factors[i - 1] == 0
-    assert rational_rank(rows) == want_rank
-
-
-def _dense_boundary(chain_cx, d):
-    cols = chain_cx.boundary(d)
-    dense = [[0] * len(cols) for _ in chain_cx.bases[d - 1]]
-    for j, col in enumerate(cols):
-        for r, v in col:
-            dense[r][j] = v
-    return dense
 
 
 def test_rank_matches_fraction_free_on_boundaries():
-    cx = _pdiv_complex((4, 5))
-    chain_cx = boundary_matrices(cx)
-    for d in range(1, chain_cx.dims + 1):
-        dense = _dense_boundary(chain_cx, d)
+    _, matrices = dense_boundaries(_pdiv_complex((4, 5)).facets)
+    for dense in matrices:
         factors, rank = smith_normal_form(dense)
-        assert rank == rational_rank(dense)
+        assert rank == rank_over_rationals(dense)
         assert all(f == 1 for f in factors)
 
 
 # -- boundary matrices -----------------------------------------------------------
 
 
+def _boundary_maps(cx):
+    """Faces by dimension and the columns ``homology()`` builds for each map."""
+    faces = cx.faces_by_dim()
+    maps = [None]
+    for d in range(1, len(faces)):
+        lower_index = {f: i for i, f in enumerate(faces[d - 1])}
+        maps.append(dict(_boundary_columns(lower_index, faces[d])))
+    return faces, maps
+
+
 def test_hollow_triangle_boundary():
     tri = SimplicialComplex(range(3), [(0, 1), (0, 2), (1, 2)])
-    cc = boundary_matrices(tri)
-    assert cc.dims == 1
-    assert len(cc.bases[0]) == 3 and len(cc.bases[1]) == 3
-    for col in cc.boundary(1):
-        assert sum(v for _, v in col) == 0
+    faces, maps = _boundary_maps(tri)
+    assert len(faces) == 2
+    assert len(faces[0]) == 3 and len(faces[1]) == 3
+    for col in maps[1].values():
+        assert sum(col.values()) == 0
         assert len(col) == 2
 
 
 def test_single_vertex_chain_complex():
     point = SimplicialComplex(["v"], [(0,)])
-    cc = boundary_matrices(point)
-    assert cc.dims == 0
-    assert cc.augmentation == (1,)
-    with pytest.raises(ValueError):
-        cc.boundary(1)
+    assert pd.homology(point).betti == (1,)
+    s = pd.homology(point, reduced=True)
+    assert s.betti == (0,)
+    assert s.torsion == ((),)
 
 
 def test_p33_boundary_shape():
-    cc = boundary_matrices(_pdiv_complex((3, 3)))
-    assert len(cc.bases[0]) == 8
-    assert len(cc.boundary(1)) == 7
+    faces, maps = _boundary_maps(_pdiv_complex((3, 3)))
+    assert len(faces[0]) == 8
+    assert len(maps[1]) == 7
 
 
 def test_boundary_squares_to_zero():
-    for facets in [
-        [(0, 1, 2), (1, 2, 3), (0, 3)],
-        [(0, 1, 2, 3)],
+    for cx in [
+        SimplicialComplex(range(4), [(0, 1, 2), (1, 2, 3), (0, 3)]),
+        SimplicialComplex(range(4), [(0, 1, 2, 3)]),
+        _pdiv_complex((4, 4)),  # order complexes too
     ]:
-        cc = boundary_matrices(SimplicialComplex(range(4), facets))
-        for d in range(2, cc.dims + 1):
-            lower = cc.boundary(d - 1)
-            for col in cc.boundary(d):
+        _, maps = _boundary_maps(cx)
+        for d in range(2, len(maps)):
+            for col in maps[d].values():
                 acc: dict[int, int] = {}
-                for r, v in col:
-                    for rr, vv in lower[r]:
+                for r, v in col.items():
+                    for rr, vv in maps[d - 1][r].items():
                         acc[rr] = acc.get(rr, 0) + v * vv
                 assert all(v == 0 for v in acc.values())
-    # order complexes too
-    cc = boundary_matrices(_pdiv_complex((4, 4)))
-    for d in range(2, cc.dims + 1):
-        lower = cc.boundary(d - 1)
-        for col in cc.boundary(d):
-            acc = {}
-            for r, v in col:
-                for rr, vv in lower[r]:
-                    acc[rr] = acc.get(rr, 0) + v * vv
-            assert all(v == 0 for v in acc.values())
 
 
 def test_boundary_dimensions_consistent():
-    cc = boundary_matrices(_pdiv_complex((4, 5)))
-    for d in range(1, cc.dims + 1):
-        cols = cc.boundary(d)
-        assert len(cols) == len(cc.bases[d])
-        assert all(0 <= r < len(cc.bases[d - 1]) for col in cols for r, _ in col)
+    faces, maps = _boundary_maps(_pdiv_complex((4, 5)))
+    for d in range(1, len(faces)):
+        assert sorted(maps[d]) == list(range(len(faces[d])))
+        assert all(0 <= r < len(faces[d - 1]) for col in maps[d].values() for r in col)
 
 
 # -- homology --------------------------------------------------------------------
@@ -195,22 +181,20 @@ def _suspension(cx):
 def _uncleared_homology(cx, reduced, snf):
     """(betti, torsion) from every full boundary matrix put through ``snf``.
 
-    ``snf`` maps a dense matrix to (invariant factors, rank); no column is
-    left out, so this is the reference the cleared computation must match.
+    The matrices come from the oracle builder and ``snf`` maps a dense
+    matrix to (invariant factors, rank); no column is left out, so this is
+    the reference the cleared computation must match.
     """
-    cc = boundary_matrices(cx)
-    ranks = [0] * (cc.dims + 2)
-    factors = [[] for _ in range(cc.dims + 2)]
+    faces, matrices = dense_boundaries(cx.facets)
+    dims = len(faces) - 1
+    ranks = [0] * (dims + 2)
+    factors = [[] for _ in range(dims + 2)]
     if reduced:
         ranks[0] = 1
-    for d in range(1, cc.dims + 1):
-        factors[d], ranks[d] = snf(_dense_boundary(cc, d))
-    betti = tuple(
-        len(cc.bases[i]) - ranks[i] - ranks[i + 1] for i in range(cc.dims + 1)
-    )
-    torsion = tuple(
-        tuple(x for x in factors[i + 1] if x > 1) for i in range(cc.dims + 1)
-    )
+    for d, dense in enumerate(matrices, start=1):
+        factors[d], ranks[d] = snf(dense)
+    betti = tuple(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(dims + 1))
+    torsion = tuple(tuple(x for x in factors[i + 1] if x > 1) for i in range(dims + 1))
     return betti, torsion
 
 

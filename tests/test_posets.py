@@ -405,6 +405,31 @@ def test_isomorphism_negative_cases():
     assert not pd.chain(3).is_isomorphic_to(pd.boolean_lattice(2))
 
 
+def _two_hexagons(comp_x, comp_y):
+    """Bottom 0 and top 13 around two components of (mins, maxes), each a 6-cycle of covers."""
+    ups = [[] for _ in range(14)]
+    for mins, maxes in (comp_x, comp_y):
+        for k, m in enumerate(mins):
+            ups[0].append(m)
+            ups[m] += [maxes[k], maxes[k - 1]]
+        for top in maxes:
+            ups[top].append(13)
+    return pd.Poset(range(14), ups)
+
+
+def test_isomorphism_backtracks():
+    # refined colors cannot tell the components apart, so placing min 2
+    # next to min 1 is a dead end found only at the maxes
+    p = _two_hexagons(((1, 3, 5), (7, 9, 11)), ((2, 4, 6), (8, 10, 12)))
+    q = _two_hexagons(((1, 2, 3), (7, 8, 9)), ((4, 5, 6), (10, 11, 12)))
+    assert p.isomorphism_to(q) == [0, 1, 4, 2, 5, 3, 6, 7, 10, 8, 11, 9, 12, 13]
+
+
+def test_isomorphism_deeper_than_recursion_limit():
+    # the backtracking search places one element per level of its stack
+    assert pd.proper_divisibility_poset((1, 1200)).is_isomorphic_to(pd.chain(1200))
+
+
 def test_isomorphism_guard():
     big = pd.boolean_lattice(9)
     with pytest.raises(pd.SizeGuardError):
@@ -463,6 +488,16 @@ def test_poset_text_rejects_garbage():
     # a repeated index used to overwrite a label and leave another unset
     with pytest.raises(ValueError, match="given twice"):
         pd.Poset.from_text("elements: 2\n0 a\n0 b\ncovers:\n0<1\n")
+    # cover indices outside [0, n): -1 used to be read as element 1, 7
+    # ended in an IndexError
+    for cover in ("-1 < 0", "7 < 0", "0 < -1", "0 < 7"):
+        with pytest.raises(ValueError, match="out of range"):
+            pd.Poset.from_text(f"elements: 2\n0 a\n1 b\ncovers:\n{cover}\n")
+    # a count that is negative or exceeds the lines that follow is refused
+    # before a list of that size is allocated
+    for count in (-1, 20_000_000):
+        with pytest.raises(ValueError, match="negative or exceeds the 2 lines"):
+            pd.Poset.from_text(f"elements: {count}\ncovers:\n0 < 1\n")
 
 
 def test_cycle_rejected():
