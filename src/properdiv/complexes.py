@@ -52,8 +52,11 @@ class SimplicialComplex:
             for f in self.facets:
                 covered.update(f)
             if len(covered) != n:
-                missing = sorted(set(range(n)) - covered)
-                raise ValueError(f"vertices {missing} lie in no facet")
+                missing = [v for v in range(n) if v not in covered]
+                shown = ", ".join(map(str, missing[:5]))
+                if len(missing) > 5:
+                    shown += f", ... ({len(missing)} in all)"
+                raise ValueError(f"vertices [{shown}] lie in no facet")
 
     def _check_antichain(self):
         by_vertex = {}
@@ -83,14 +86,14 @@ class SimplicialComplex:
         """Largest face dimension; -1 for the empty complex."""
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def faces_by_dim(self, max_faces: int | None = None) -> list[list[tuple[int, ...]]]:
+    def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """All faces grouped by dimension, each list sorted lexicographically.
 
         Faces are produced by closing the facet list downward one dimension
-        at a time, with deduplication.  More than ``max_faces`` faces in all
+        at a time, with deduplication.  More faces in all than the face guard
         raise :class:`SizeGuardError`, whether or not they are cached.
         """
-        guard = face_guard_default() if max_faces is None else max_faces
+        guard = face_guard_default()
         if self._faces is None:
             self._faces = self._close_faces(guard)
         if sum(len(level) for level in self._faces) > guard:
@@ -120,14 +123,14 @@ class SimplicialComplex:
                 raise SizeGuardError(f"face-count guard {guard} exceeded")
         return [sorted(s) for s in levels]
 
-    def f_vector(self, max_faces: int | None = None) -> tuple[int, ...]:
+    def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension; empty tuple for the empty complex."""
-        return tuple(len(level) for level in self.faces_by_dim(max_faces))
+        return tuple(len(level) for level in self.faces_by_dim())
 
-    def reduced_euler_char(self, max_faces: int | None = None) -> int:
+    def reduced_euler_char(self) -> int:
         """-1 + alternating sum of the f-vector."""
         total = -1
-        for d, count in enumerate(self.f_vector(max_faces)):
+        for d, count in enumerate(self.f_vector()):
             total += count if d % 2 == 0 else -count
         return total
 
@@ -151,12 +154,18 @@ class SimplicialComplex:
             raise ValueError("facet text must start with a 'vertices:' line")
         n = int(lines[0].split(":", 1)[1])
         facets = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
+        # every vertex lies in a facet: refuse n > tokens before building range(n)
+        tokens = sum(len(f) for f in facets)
+        if not 0 <= n <= tokens:
+            raise ValueError(
+                f"vertex count {n} is negative or exceeds the {tokens} vertex tokens that follow"
+            )
         if vertices is None:
             vertices = range(n)
         return cls(vertices, facets)
 
 
-def order_complex(p: Poset, max_facets: int | None = None) -> SimplicialComplex:
+def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of a bounded poset with bottom and top removed.
 
     Vertices are the open poset's elements (labels preserved); facets are its
@@ -167,7 +176,6 @@ def order_complex(p: Poset, max_facets: int | None = None) -> SimplicialComplex:
     open_poset = p.open_part()
     if len(open_poset) == 0:
         return SimplicialComplex((), (), validate=False)
-    guard = face_guard_default() if max_facets is None else max_facets
-    facets = open_poset.maximal_chains(max_chains=guard)
+    facets = open_poset.maximal_chains(max_chains=face_guard_default())
     # maximal chains are pairwise incomparable under inclusion by maximality
     return SimplicialComplex(open_poset.labels, facets, validate=False)

@@ -265,7 +265,6 @@ def homology(
     k: SimplicialComplex,
     reduced: bool = False,
     torsion: bool = True,
-    max_faces: int | None = None,
 ) -> HomologySummary:
     """Integer homology of a simplicial complex.
 
@@ -274,7 +273,7 @@ def homology(
     the (i+1)-st map.  With ``torsion=False`` the ranks come from the same
     elimination and the summary leaves the torsion out.
     """
-    faces = k.faces_by_dim(max_faces)
+    faces = k.faces_by_dim()
     if not faces:
         return HomologySummary(
             reduced=reduced,

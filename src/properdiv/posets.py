@@ -197,11 +197,15 @@ class Poset:
 
     def length(self) -> int:
         """Length of the longest chain (number of covers along it)."""
-        height = [0] * len(self.labels)
-        for i in self._topo:
-            for j in self.upcovers[i]:
-                height[j] = max(height[j], height[i] + 1)
-        return max(height, default=0)
+        return max(self._longest_paths(self._topo, self.upcovers), default=0)
+
+    def _longest_paths(self, order, covers) -> list[int]:
+        # most covers on a path to each element; ``order`` is topological for ``covers``
+        level = [0] * len(self.labels)
+        for i in order:
+            for j in covers[i]:
+                level[j] = max(level[j], level[i] + 1)
+        return level
 
     def atoms(self) -> tuple[int, ...]:
         """Indices covering the bottom element, in index order."""
@@ -242,12 +246,14 @@ class Poset:
 
     # -- chains ------------------------------------------------------------
 
-    def maximal_chains(self, max_chains: int = DEFAULT_CHAIN_GUARD):
+    def maximal_chains(self, max_chains: int | None = None):
         """All inclusion-maximal chains as index tuples, in lexicographic order.
 
         Each chain runs from a minimal to a maximal element along covers; its
-        length is ``len(chain) - 1``.
+        length is ``len(chain) - 1``.  ``max_chains`` defaults to DEFAULT_CHAIN_GUARD.
         """
+        if max_chains is None:
+            max_chains = DEFAULT_CHAIN_GUARD
         upcovers = self.upcovers
         chains = []
         # depth-first with a stack of cover iterators, one per element of
@@ -303,10 +309,13 @@ class Poset:
 
     def _refined_colors(self):
         # iterated neighborhood refinement; renumbering follows sorted
-        # signature order so colors are comparable across posets
+        # signature order so colors are comparable across posets; seeded with
+        # height and depth, a chain settles in one round, not n/2
         n = len(self.labels)
         down = self.downcovers
-        colors = [(len(down[i]), len(self.upcovers[i])) for i in range(n)]
+        height = self._longest_paths(self._topo, self.upcovers)
+        depth = self._longest_paths(reversed(self._topo), down)
+        colors = list(zip(height, depth, map(len, down), map(len, self.upcovers)))
         while True:
             sigs = [
                 (
@@ -322,14 +331,14 @@ class Poset:
                 return nxt
             colors = nxt
 
-    def isomorphism_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
+    def isomorphism_to(self, other: "Poset"):
         """An index bijection preserving covers both ways, or None.
 
         Backtracking over elements ordered by rarest refined color first,
         on an explicit stack of candidate iterators, one per placed element.
         """
-        if len(self) > max_elements or len(other) > max_elements:
-            raise SizeGuardError(f"isomorphism guard is {max_elements} elements")
+        if len(self) > DEFAULT_ISO_GUARD or len(other) > DEFAULT_ISO_GUARD:
+            raise SizeGuardError(f"isomorphism guard is {DEFAULT_ISO_GUARD} elements")
         if len(self) != len(other):
             return None
         ca = self._refined_colors()
@@ -400,8 +409,8 @@ class Poset:
             stack.append(candidates(order[len(stack)]))
         return None
 
-    def is_isomorphic_to(self, other: "Poset", max_elements: int = DEFAULT_ISO_GUARD):
-        return self.isomorphism_to(other, max_elements=max_elements) is not None
+    def is_isomorphic_to(self, other: "Poset"):
+        return self.isomorphism_to(other) is not None
 
     # -- text format ---------------------------------------------------------
 
@@ -500,12 +509,12 @@ def chain(length: int) -> Poset:
     return Poset(range(n), [[i + 1] if i + 1 < n else [] for i in range(n)], validate=False)
 
 
-def boolean_lattice(n: int, max_n: int = DEFAULT_BOOLEAN_GUARD) -> Poset:
+def boolean_lattice(n: int) -> Poset:
     """Subsets of an n-set ordered by inclusion; labels are subset bitmasks."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > max_n:
-        raise SizeGuardError(f"boolean lattice guard is n <= {max_n}")
+    if n > DEFAULT_BOOLEAN_GUARD:
+        raise SizeGuardError(f"boolean lattice guard is n <= {DEFAULT_BOOLEAN_GUARD}")
     size = 1 << n
     ups = []
     for s in range(size):
@@ -513,26 +522,24 @@ def boolean_lattice(n: int, max_n: int = DEFAULT_BOOLEAN_GUARD) -> Poset:
     return Poset(range(size), ups, validate=False)
 
 
-def proper_divisibility_poset(
-    a, max_elements: int = DEFAULT_ELEMENT_GUARD
-) -> Poset:
+def proper_divisibility_poset(a) -> Poset:
     """All multidegrees <= a under proper divisibility; a itself is the top.
 
     Elements are indexed lexicographically by exponent vector with the top
     last.  u is covered by v iff u < v and either some u_k >= 1 has
-    v_k = u_k + 1, or u = 0 and every v_k is 0 or 1.  ``max_elements``
+    v_k = u_k + 1, or u = 0 and every v_k is 0 or 1.  The element guard
     bounds the elements and the candidate covers (see ``proper_product``).
     """
     a = as_multidegree(a)
     count = prod(ai if ai >= 1 else 1 for ai in a) + (1 if any(a) else 0)
-    if count > max_elements:
+    if count > DEFAULT_ELEMENT_GUARD:
         raise SizeGuardError(
-            f"P{a} would have {count} elements (guard {max_elements})"
+            f"P{a} would have {count} elements (guard {DEFAULT_ELEMENT_GUARD})"
         )
-    return _product_poset([chain(ai) for ai in a], max_elements)
+    return _product_poset([chain(ai) for ai in a])
 
 
-def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -> Poset:
+def proper_product(*factors: Poset) -> Poset:
     """Proper-division product of bounded posets.
 
     The elements are the tuples (x_1, ..., x_n) lying below the tuple of
@@ -542,7 +549,7 @@ def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -
     either some x_k above its bottom is covered by y_k, or xs is the bottom
     tuple and every y_k is a bottom or an atom.  The down-covers of the
     first kind are enumerated from the factors' covers and down-sets; their
-    number is counted first and refused past ``max_elements``, as is the
+    number is counted first and refused past the element guard, as is the
     number of elements.
     """
     if len(factors) < 2:
@@ -550,10 +557,10 @@ def proper_product(*factors: Poset, max_elements: int = DEFAULT_ELEMENT_GUARD) -
     for p in factors:
         if not p.is_bounded:
             raise ValueError("all factors must be bounded")
-    return _product_poset(factors, max_elements)
+    return _product_poset(factors)
 
 
-def _product_poset(factors, max_elements: int) -> Poset:
+def _product_poset(factors) -> Poset:
     """Proper product of bounded factors, covers by rules (a) and (b) above.
 
     Under rule (a), x_k runs over the down-covers of y_k other than 0_k and
@@ -567,9 +574,9 @@ def _product_poset(factors, max_elements: int) -> Poset:
     # or at it where the factor has one element
     coords = [[y for y in range(len(p)) if y != p.top] or [p.top] for p in factors]
     size = prod(len(c) for c in coords) + (tops != bottoms)
-    if size > max_elements:
+    if size > DEFAULT_ELEMENT_GUARD:
         raise SizeGuardError(
-            f"product would have {size} elements (guard {max_elements})"
+            f"product would have {size} elements (guard {DEFAULT_ELEMENT_GUARD})"
         )
     # lower[k][y]: the values of x_k under rule (a) when y_k = y
     lower = [
@@ -583,7 +590,7 @@ def _product_poset(factors, max_elements: int) -> Poset:
     rest = []
     for j, p in enumerate(factors):
         if any(raised[:j] + raised[j + 1 :]):
-            masks = _strict_downsets(p, max_elements)
+            masks = _strict_downsets(p)
             rest.append([tuple(_bits(m)) or (y,) for y, m in enumerate(masks)])
         else:
             rest.append({p.top: tuple(y for y in range(len(p)) if y != p.top) or (p.top,)})
@@ -595,9 +602,9 @@ def _product_poset(factors, max_elements: int) -> Poset:
             candidates += raised[k] * prod(
                 sum(len(rest[j][y]) for y in coords[j]) for j in others
             )
-    if candidates > max_elements:
+    if candidates > DEFAULT_ELEMENT_GUARD:
         raise SizeGuardError(
-            f"product would have {candidates} candidate covers (guard {max_elements})"
+            f"product would have {candidates} candidate covers (guard {DEFAULT_ELEMENT_GUARD})"
         )
 
     members = list(_cartesian(*coords))
@@ -621,10 +628,10 @@ def _product_poset(factors, max_elements: int) -> Poset:
     return Poset(labels, ups, validate=False)
 
 
-def _strict_downsets(p: Poset, budget: int) -> list[int]:
+def _strict_downsets(p: Poset) -> list[int]:
     """Bitmask of the elements strictly below each element of ``p``.
 
-    Refused once the down-sets below the top hold over ``budget`` elements.
+    Refused once the down-sets below the top hold more than the element guard.
     """
     masks = [0] * len(p)
     total = 0
@@ -633,8 +640,8 @@ def _strict_downsets(p: Poset, budget: int) -> list[int]:
             masks[y] |= masks[x] | 1 << x
         if y != p.top:
             total += masks[y].bit_count()
-            if total > budget:
+            if total > DEFAULT_ELEMENT_GUARD:
                 raise SizeGuardError(
-                    f"product would have more than {budget} candidate covers"
+                    f"product would have more than {DEFAULT_ELEMENT_GUARD} candidate covers"
                 )
     return masks

@@ -25,14 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import posets
 from .errors import SizeGuardError
-from .posets import (
-    DEFAULT_CHAIN_GUARD,
-    DEFAULT_ELEMENT_GUARD,
-    Poset,
-    as_multidegree,
-    proper_divisibility_poset,
-)
+from .posets import Poset, as_multidegree, proper_divisibility_poset
 
 DEFAULT_RAO_GUARD = 24
 
@@ -48,7 +43,7 @@ class RaoCertificate:
     most one (nothing to check there); otherwise ``children[j]`` certifies
     the interval above ``ordering[j]``.  Children may be shared, but the
     JSON form spells every one out, so it may hold at most
-    DEFAULT_CHAIN_GUARD nodes.  The serializers walk explicit stacks:
+    ``posets.DEFAULT_CHAIN_GUARD`` nodes.  The serializers walk explicit stacks:
     certificates nest once per step of a maximal chain, deeper than the
     interpreter's recursion limit.
     """
@@ -79,10 +74,10 @@ class RaoCertificate:
                 "ordering": [_label_json(x) for x in node.ordering],
                 "children": None if node.children is None else [done[id(c)] for c in kids],
             }
-        if size[id(self)] > DEFAULT_CHAIN_GUARD:
+        if size[id(self)] > posets.DEFAULT_CHAIN_GUARD:
             raise SizeGuardError(
                 f"certificate tree has {size[id(self)]} nodes "
-                f"(guard {DEFAULT_CHAIN_GUARD})"
+                f"(guard {posets.DEFAULT_CHAIN_GUARD})"
             )
         return done[id(self)]
 
@@ -224,7 +219,7 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     return result
 
 
-def search_rao(p: Poset, max_elements: int = DEFAULT_RAO_GUARD):
+def search_rao(p: Poset):
     """Exhaustive memoized search for a recursive atom ordering.
 
     Returns the first certificate in lexicographic permutation order (with
@@ -232,8 +227,8 @@ def search_rao(p: Poset, max_elements: int = DEFAULT_RAO_GUARD):
     """
     if not p.is_bounded:
         raise ValueError("poset must be bounded")
-    if len(p) > max_elements:
-        raise SizeGuardError(f"search guard is {max_elements} elements")
+    if len(p) > DEFAULT_RAO_GUARD:
+        raise SizeGuardError(f"search guard is {DEFAULT_RAO_GUARD} elements")
     ctx = _IntervalContext(p)
     memo: dict = {}
 
@@ -298,7 +293,7 @@ def least_atom(b) -> tuple[int, ...]:
     return tuple(x - 1 if x else 0 for x in b)
 
 
-def dual_lex_certificate(a, max_elements: int = DEFAULT_ELEMENT_GUARD) -> RaoCertificate:
+def dual_lex_certificate(a) -> RaoCertificate:
     """Certificate for the dual of P(a) ordering every interval dual-lexicographically.
 
     Dual-lex compares descending: c precedes d iff at the first differing
@@ -307,7 +302,7 @@ def dual_lex_certificate(a, max_elements: int = DEFAULT_ELEMENT_GUARD) -> RaoCer
     with the same bottom vector.
     """
     a = as_multidegree(a)
-    poset = proper_divisibility_poset(a, max_elements=max_elements)
+    poset = proper_divisibility_poset(a)
     down = poset.downcovers
     labels = poset.labels
     certs: list[RaoCertificate] = []
@@ -358,7 +353,6 @@ def falling_chains(
     a: int,
     b: int,
     length: int | None = None,
-    max_chains: int = DEFAULT_CHAIN_GUARD,
 ) -> list[FallingChain]:
     """All falling maximal chains of the dual of P(a, b), depth-first.
 
@@ -387,8 +381,8 @@ def falling_chains(
         z = labels[k]
         if z == zero:
             if length is None or len(path) == length:
-                if len(out) >= max_chains:
-                    raise SizeGuardError(f"more than {max_chains} falling chains")
+                if len(out) >= posets.DEFAULT_CHAIN_GUARD:
+                    raise SizeGuardError(f"more than {posets.DEFAULT_CHAIN_GUARD} falling chains")
                 out.append(FallingChain(tuple(path) + (zero,)))
         elif z != dec and not is_border(z):
             path.append(z)

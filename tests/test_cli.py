@@ -236,8 +236,14 @@ def test_verify_smallest_region(capsys):
     assert code == 0
 
 
-def test_verify_mutation_harness(capsys):
-    code, out, _ = run(capsys, "verify", "--a-max", "3", "--b-max", "3", "--corrupt")
+def test_verify_mutation_harness(capsys, monkeypatch):
+    betti_rank = pd.formulas.betti_rank
+    monkeypatch.setattr(
+        pd.formulas,
+        "betti_rank",
+        lambda a, b, i: betti_rank(a, b, i) + ((a, b, i) == (2, 2, 0)),
+    )
+    code, out, _ = run(capsys, "verify", "--a-max", "3", "--b-max", "3")
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import properdiv as pd
 from properdiv.complexes import SimplicialComplex, face_guard_default
@@ -74,6 +76,14 @@ def test_constructor_rejects_nested_facets_and_stray_vertices():
         SimplicialComplex(range(2), [()])
 
 
+def test_stray_vertex_message_is_capped():
+    with pytest.raises(ValueError) as exc:
+        SimplicialComplex(range(100_000), [(0,)])
+    assert str(exc.value) == "vertices [1, 2, 3, 4, 5, ... (99999 in all)] lie in no facet"
+    with pytest.raises(ValueError, match=r"^vertices \[3\] lie in no facet$"):
+        SimplicialComplex(range(4), [(0, 1, 2)])
+
+
 def test_f_vector_counts_all_chains():
     for vec in [(3, 3), (4, 4), (2, 5), (3, 3, 2)]:
         p = pd.proper_divisibility_poset(vec)
@@ -99,20 +109,23 @@ def test_dual_complex_has_identical_face_sets():
         assert set(cx.vertices) == set(cx_dual.vertices)
 
 
-def test_face_guard():
+def test_face_guard(monkeypatch):
     cx = _pdiv_complex((5, 5))
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5")
     with pytest.raises(pd.SizeGuardError):
-        cx.f_vector(max_faces=5)
+        cx.f_vector()
 
 
-def test_face_guard_applies_to_cached_faces():
+def test_face_guard_applies_to_cached_faces(monkeypatch):
     cx = SimplicialComplex(range(4), [(0, 1, 2, 3)])
     assert len(cx.faces_by_dim()) == 4
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "1")
     with pytest.raises(pd.SizeGuardError):
-        cx.faces_by_dim(1)
+        cx.faces_by_dim()
     with pytest.raises(pd.SizeGuardError):
-        pd.homology(cx, max_faces=1)
-    assert cx.f_vector(max_faces=15) == (4, 6, 4, 1)
+        pd.homology(cx)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "15")
+    assert cx.f_vector() == (4, 6, 4, 1)
 
 
 def test_face_guard_env_override(monkeypatch):
@@ -134,6 +147,66 @@ def test_facet_text_roundtrip():
     assert back.facets == cx.facets
     empty = SimplicialComplex((), ())
     assert SimplicialComplex.from_facet_text(empty.to_facet_text()).is_empty
+
+
+def test_facet_text_refuses_vertex_count_beyond_its_tokens():
+    for text in ("vertices: 3000000\n0 1\n", "vertices: -1\n0 1\n", "vertices: 3\n0 1\n"):
+        with pytest.raises(ValueError, match="negative or exceeds") as exc:
+            SimplicialComplex.from_facet_text(text)
+        assert len(str(exc.value)) < 200
+
+
+_FACET_JUNK = ["x", "0 x", "1.5", "-", "vertices:", "vertices: y", "0 0", "-1 0", "10**9"]
+
+
+@st.composite
+def _facet_texts(draw):
+    """(text, clean, bad): a random complex's facet text, possibly mutated.
+
+    ``clean`` when the text is unchanged; ``bad`` when a mutation makes it
+    malformed by construction: a vertex index outside [0, n) or a vertex
+    count that is negative or exceeds the vertex tokens.
+    """
+    sets = draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1), max_size=5))
+    maximal = {s for s in sets if not any(s < t for t in sets)}
+    used = sorted(set().union(*maximal))
+    relabel = {v: i for i, v in enumerate(used)}
+    cx = SimplicialComplex(range(len(used)), [[relabel[v] for v in s] for s in maximal])
+    n = len(cx.vertices)
+    lines = cx.to_facet_text().splitlines()
+    kinds = ["junk", "drop", "index", "count"]
+    mutations = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    bad = False
+    # the mutations that make a text bad come last, so none undoes them
+    for kind in sorted(mutations, key=kinds.index):
+        if kind in ("junk", "drop"):
+            k = draw(st.integers(0, len(lines) - 1))
+            if kind == "junk":
+                lines[k] = draw(st.sampled_from(_FACET_JUNK))
+            elif len(lines) > 1:
+                del lines[k]
+        elif kind == "index":
+            lines.append(f"{draw(st.sampled_from([-1, n, n + 7]))}")
+            bad = True
+        else:
+            tokens = sum(len(ln.split()) for ln in lines[1:])
+            lines[0] = f"vertices: {draw(st.sampled_from([-1, tokens + 1, 3_000_000]))}"
+            bad = True
+    return "\n".join(lines) + "\n", not mutations, bad
+
+
+@given(_facet_texts())
+@settings(max_examples=300, deadline=None)
+def test_facet_text_fuzz(drawn):
+    text, clean, bad = drawn
+    try:
+        cx = SimplicialComplex.from_facet_text(text)
+    except ValueError:
+        assert not clean, text
+        return
+    assert not bad, text
+    if clean:
+        assert cx.to_facet_text() == text
 
 
 def test_faces_by_dim_sorted_and_deduplicated():

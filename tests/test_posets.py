@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import properdiv as pd
+from properdiv import posets
 from properdiv.posets import pd_le, properly_divides
 
 from oracles import (
@@ -259,12 +260,14 @@ def test_product_covers_match_reference_on_random_factors(drawn):
     _assert_matches(pd.proper_product(*factors), all_pairs_proper_product(*factors))
 
 
-def test_candidate_cover_guard_is_exact():
+def test_candidate_cover_guard_is_exact(monkeypatch):
     # P(4, 4): rule (a) offers 2 * 2 * 7 candidates below the tuples other
     # than the top and 2 * 4 below the top
-    assert len(pd.proper_divisibility_poset((4, 4), max_elements=36)) == 17
+    monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", 36)
+    assert len(pd.proper_divisibility_poset((4, 4))) == 17
+    monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", 35)
     with pytest.raises(pd.SizeGuardError, match="36 candidate covers"):
-        pd.proper_divisibility_poset((4, 4), max_elements=35)
+        pd.proper_divisibility_poset((4, 4))
 
 
 def test_guard_refuses_before_enumerating():
@@ -430,10 +433,11 @@ def test_isomorphism_deeper_than_recursion_limit():
     assert pd.proper_divisibility_poset((1, 1200)).is_isomorphic_to(pd.chain(1200))
 
 
-def test_isomorphism_guard():
+def test_isomorphism_guard(monkeypatch):
     big = pd.boolean_lattice(9)
+    monkeypatch.setattr(posets, "DEFAULT_ISO_GUARD", 100)
     with pytest.raises(pd.SizeGuardError):
-        big.isomorphism_to(big, max_elements=100)
+        big.isomorphism_to(big)
 
 
 @given(bounded_posets(), st.randoms(use_true_random=False))

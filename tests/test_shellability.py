@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import properdiv as pd
+from properdiv import posets
 from properdiv.shellability import RaoCertificate
 
 from strategies import bounded_posets
@@ -222,13 +223,14 @@ def test_falling_chains_vanishing_above_top_degree():
             assert all(c.length <= a for c in pd.falling_chains(a, b))
 
 
-def test_falling_chain_guard_and_preconditions():
+def test_falling_chain_guard_and_preconditions(monkeypatch):
     with pytest.raises(ValueError):
         pd.falling_chains(1, 5)
     with pytest.raises(ValueError):
         pd.falling_chains(4, 3)
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 3)
     with pytest.raises(pd.SizeGuardError):
-        pd.falling_chains(6, 9, max_chains=3)
+        pd.falling_chains(6, 9)
 
 
 def test_check_final_increments_examples():
