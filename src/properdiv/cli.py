@@ -186,6 +186,8 @@ def cmd_falling(args) -> int:
 
 def cmd_rao(args) -> int:
     if args.dual_lex is not None:
+        if args.descriptor or args.search or args.dual:
+            raise DescriptorError("rao --dual-lex takes no descriptor, --search or --dual")
         vec = _parse_vector(args.dual_lex)
         cert = dual_lex_certificate(vec)
         sys.stdout.writelines(cert.iterencode())

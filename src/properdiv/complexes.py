@@ -148,7 +148,7 @@ class SimplicialComplex:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_facet_text(cls, text: str, vertices=None) -> "SimplicialComplex":
+    def from_facet_text(cls, text: str) -> "SimplicialComplex":
         lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
         if not lines or not lines[0].startswith("vertices:"):
             raise ValueError("facet text must start with a 'vertices:' line")
@@ -160,9 +160,7 @@ class SimplicialComplex:
             raise ValueError(
                 f"vertex count {n} is negative or exceeds the {tokens} vertex tokens that follow"
             )
-        if vertices is None:
-            vertices = range(n)
-        return cls(vertices, facets)
+        return cls(range(n), facets)
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

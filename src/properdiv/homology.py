@@ -1,29 +1,37 @@
 """Exact integer simplicial homology via Smith normal form.
 
-Boundary matrices are eliminated in two phases.  Phase one works on a
-sparse column representation and repeatedly pivots on entries equal to
-+-1, chosen by an approximate Markowitz (minimum fill) rule; such pivots
-need no division and contribute invariant factor 1.  Whatever survives is
-densified and finished with a classical Smith normal form (smallest
-nonzero pivot, remainder swaps), whether or not torsion is asked for.  All
-arithmetic is on Python integers, so intermediate entry growth is harmless.
+Boundary matrices are eliminated in two phases.  Phase one is the standard
+column algorithm of persistent homology on a sparse column representation:
+columns are taken in key order and each is reduced by the pivot columns
+until its lowest (largest) row is no pivot row.  If its entry there is
++-1, the column becomes the pivot of that row; otherwise it is set aside,
+and at the end every set-aside column is reduced by the pivot columns of
+all rows it meets, largest row first.  Each step subtracts an integer
+multiple of a pivot column, whose entry at its own row is +-1 and which is
+0 below it, so the sparse phase needs no division and only adds columns
+to columns.  On the pivot rows the pivot columns form a +-1-triangular
+block, and the set-aside columns are 0 there, so row operations split off
+that block: each pivot contributes invariant factor 1 and the rest are
+those of the set-aside columns.  These are densified and finished with a
+classical Smith normal form (smallest nonzero pivot, remainder swaps),
+whether or not torsion is asked for.  All arithmetic is on Python
+integers, so intermediate entry growth is harmless.
 
 :func:`homology` reduces the maps top-down, from the top dimension to 1,
-and clears as it goes (Chen & Kerber's "twist"): every row of a +-1 pivot
-of the sparse phase of the (d+1)-st map is a d-face whose column is left
-out of the d-th map.  This is exact over the integers, not just over the
-rationals.  Only unit pivots clear, and the k-th pivot column is the
-boundary of an integer chain with +-1 in its own pivot row and 0 in the
-rows of the k-1 pivots before it, so on the cleared rows these boundaries
-form a +-1-triangular block.  Every cleared face therefore equals a
-boundary plus an integer combination of kept faces, and since the d-th map
-kills boundaries, its image lattice, rank and invariant factors are those
-of the kept columns alone.  Pivots of the dense phase clear nothing.
+and clears as it goes (Chen & Kerber's "twist"): every pivot row of the
+sparse phase of the (d+1)-st map is a d-face whose column is left out of
+the d-th map.  This is exact over the integers, not just over the
+rationals.  Each pivot column is the boundary of an integer chain, with
++-1 in its own row and 0 in every row below it, so on the cleared rows
+these boundaries form a +-1-triangular block ordered by row.  Every
+cleared face therefore equals a boundary plus an integer combination of
+kept faces, and since the d-th map kills boundaries, its image lattice,
+rank and invariant factors are those of the kept columns alone.  Rows of
+the set-aside columns clear nothing.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,80 +41,47 @@ from .complexes import SimplicialComplex
 # -- sparse phase ---------------------------------------------------------
 
 
+def _subtract(col: dict[int, int], pivcol: dict[int, int], r: int) -> None:
+    """Clear row ``r`` of ``col`` with the column whose +-1 sits there."""
+    f = col[r] * pivcol[r]
+    for rr, vv in pivcol.items():
+        nv = col.get(rr, 0) - f * vv
+        if nv:
+            col[rr] = nv
+        else:
+            del col[rr]
+
+
 def _eliminate_unit_pivots(cols: dict[int, dict[int, int]]) -> list[int]:
-    """Destructively eliminate +-1 pivots; returns the row of each pivot used."""
-    rows: dict[int, set[int]] = {}
-    for cid, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(cid)
-    heap = []  # seeded with every +-1 entry on the first pass below
-    pivot_rows = []
-    while cols:
-        pivot = None
-        while heap:
-            _, r, c = heapq.heappop(heap)
-            col = cols.get(c)
-            if col is None:
-                continue
-            v = col.get(r)
-            if v == 1 or v == -1:
-                pivot = (r, c, v)
+    """Destructively reduce columns to +-1 pivots; returns the pivot rows.
+
+    Columns are taken in key order and reduced until their lowest (largest)
+    row is no pivot row; a +-1 there makes the column the pivot of that row.
+    Every other column is set aside and at the end cleared of all pivot
+    rows, largest first; it stays in ``cols`` for the dense phase.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # low row -> its column
+    set_aside = []
+    for cid in sorted(cols):
+        col = cols.pop(cid)
+        while col:
+            low = max(col)
+            if low not in pivots:
                 break
-        if pivot is None:
-            fresh = []
-            for cid, col in cols.items():
-                width = len(col) - 1
-                for r, v in col.items():
-                    if v == 1 or v == -1:
-                        fresh.append(((len(rows[r]) - 1) * width, r, cid))
-            if not fresh:
-                break
-            heapq.heapify(fresh)
-            heap = fresh
+            _subtract(col, pivots[low], low)
+        if not col:
             continue
-        r, c, v = pivot
-        pivcol = cols.pop(c)
-        for rr in pivcol:
-            support = rows.get(rr)
-            if support is not None:
-                support.discard(c)
-                if not support:
-                    del rows[rr]
-        pivot_rows.append(r)
-        targets = rows.pop(r, None)
-        if not targets:
-            continue
-        for c2 in list(targets):
-            col2 = cols[c2]
-            f = col2[r] * v
-            for rr, vv in pivcol.items():
-                if rr == r:
-                    del col2[r]
-                    continue
-                cur = col2.get(rr)
-                if cur is None:
-                    nv = -f * vv
-                    col2[rr] = nv
-                    rows.setdefault(rr, set()).add(c2)
-                else:
-                    nv = cur - f * vv
-                    if nv:
-                        col2[rr] = nv
-                    else:
-                        del col2[rr]
-                        support = rows.get(rr)
-                        if support is not None:
-                            support.discard(c2)
-                            if not support:
-                                del rows[rr]
-                        continue
-                if nv == 1 or nv == -1:
-                    heapq.heappush(
-                        heap, ((len(rows[rr]) - 1) * (len(col2) - 1), rr, c2)
-                    )
-            if not col2:
-                del cols[c2]
-    return pivot_rows
+        if col[low] == 1 or col[low] == -1:
+            pivots[low] = col
+        else:
+            set_aside.append((cid, col))
+    for cid, col in set_aside:
+        # a pivot column has no entry below its row, so rows cleared stay clear
+        while (hit := max((r for r in col if r in pivots), default=-1)) >= 0:
+            _subtract(col, pivots[hit], hit)
+        if col:
+            cols[cid] = col
+    return list(pivots)
 
 
 def _densify(cols: dict[int, dict[int, int]]) -> list[list[int]]:

@@ -228,14 +228,6 @@ class Poset:
         ]
         return Poset(labels, ups, validate=False)
 
-    def interval(self, lo: int, hi: int) -> "Poset":
-        """Induced subposet on {x : lo <= x <= hi}; bottom lo, top hi."""
-        if not self.le(lo, hi):
-            raise ValueError(f"{self.labels[lo]!r} is not below {self.labels[hi]!r}")
-        mask = self.above[lo] & self.below[hi]
-        members = _bits(mask)
-        return self._induced(members)
-
     def open_part(self) -> "Poset":
         """The poset minus its bottom and top elements (must be bounded)."""
         if not self.is_bounded:

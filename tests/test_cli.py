@@ -214,6 +214,16 @@ def test_rao_requires_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["pdiv", "4,4", "--search"], ["pdiv", "4,4"], ["--search"], ["--dual"]],
+)
+def test_rao_dual_lex_refuses_other_arguments(capsys, extra):
+    code, out, err = run(capsys, "rao", *extra, "--dual-lex", "2,2")
+    assert code == 2 and out == ""
+    assert err == "error: rao --dual-lex takes no descriptor, --search or --dual\n"
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -36,6 +36,8 @@ def test_snf_frozen_examples():
     assert smith_normal_form([]) == ([], 0)
     assert smith_normal_form([[6]]) == ([6], 1)
     assert smith_normal_form([[2, 0], [0, 3]]) == ([1, 6], 2)
+    # column 0 is set aside (low entry 2), then cleared of row 0 by column 1
+    assert smith_normal_form([[1, 1], [2, 0]]) == ([1, 2], 2)
 
 
 matrices = st.integers(1, 4).flatmap(
@@ -58,6 +60,30 @@ def test_snf_matches_minors_oracle(rows):
     assert factors == want_factors
     for i in range(1, len(factors)):
         assert factors[i] % factors[i - 1] == 0
+
+
+sparse_matrices = st.integers(1, 7).flatmap(
+    lambda nr: st.integers(1, 7).flatmap(
+        lambda nc: st.lists(
+            st.lists(
+                st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2]) | st.integers(-6, 6),
+                min_size=nc,
+                max_size=nc,
+            ),
+            min_size=nr,
+            max_size=nr,
+        )
+    )
+)
+
+
+@given(sparse_matrices)
+@settings(max_examples=150, deadline=None)
+def test_snf_of_sparse_matrices_matches_oracles(rows):
+    # non-unit lows are set aside and must be cleared by later unit pivots
+    factors, rank = smith_normal_form(rows)
+    assert (factors, rank) == snf_by_minors(rows)
+    assert rank == rank_over_rationals(rows)
 
 
 def test_rank_matches_fraction_free_on_boundaries():
@@ -209,6 +235,12 @@ def _check_against_uncleared(cx):
         s = pd.homology(cx, reduced=reduced, torsion=True)
         want = _uncleared_homology(cx, reduced, smith_normal_form)
         assert (s.betti, s.torsion) == want
+        # every map's rank from elimination over the rationals, which shares
+        # no code with the library
+        by_rationals = _uncleared_homology(
+            cx, reduced, lambda dense: ([], rank_over_rationals(dense))
+        )
+        assert by_rationals[0] == s.betti
         if oracle:
             assert _uncleared_homology(cx, reduced, snf_by_minors) == want
         assert pd.homology(cx, reduced=reduced, torsion=False).betti == s.betti
