@@ -10,6 +10,7 @@ characteristic is -1.
 from __future__ import annotations
 
 import os
+from itertools import combinations
 
 from .errors import SizeGuardError
 from .posets import Poset
@@ -89,39 +90,15 @@ class SimplicialComplex:
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """All faces grouped by dimension, each list sorted lexicographically.
 
-        Faces are produced by closing the facet list downward one dimension
-        at a time, with deduplication.  More faces in all than the face guard
-        raise :class:`SizeGuardError`, whether or not they are cached.
+        More faces in all than the face guard raise :class:`SizeGuardError`,
+        whether or not they are cached.
         """
         guard = face_guard_default()
         if self._faces is None:
-            self._faces = self._close_faces(guard)
+            self._faces = _close_faces(self.facets, guard)
         if sum(len(level) for level in self._faces) > guard:
             raise SizeGuardError(f"face-count guard {guard} exceeded")
         return self._faces
-
-    def _close_faces(self, guard: int) -> list[list[tuple[int, ...]]]:
-        if self.is_empty:
-            return []
-        dmax = self.dim
-        # a facet with k vertices alone has 2**k - 1 faces: refuse before
-        # closing a level whose faces would not fit in memory
-        if (1 << (dmax + 1)) - 1 > guard:
-            raise SizeGuardError(f"face-count guard {guard} exceeded")
-        levels: list[set] = [set() for _ in range(dmax + 1)]
-        for f in self.facets:
-            levels[len(f) - 1].add(f)
-        total = sum(len(s) for s in levels)
-        for d in range(dmax, 0, -1):
-            lower = levels[d - 1]
-            before = len(lower)
-            for f in levels[d]:
-                for j in range(len(f)):
-                    lower.add(f[:j] + f[j + 1 :])
-            total += len(lower) - before
-            if total > guard:
-                raise SizeGuardError(f"face-count guard {guard} exceeded")
-        return [sorted(s) for s in levels]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension; empty tuple for the empty complex."""
@@ -161,6 +138,39 @@ class SimplicialComplex:
                 f"vertex count {n} is negative or exceeds the {tokens} vertex tokens that follow"
             )
         return cls(range(n), facets)
+
+
+def _close_faces(facets, guard: int) -> list[list[tuple[int, ...]]]:
+    """All faces of the complex generated by ``facets``, grouped by dimension.
+
+    ``facets`` are sorted tuples; they need not be inclusion-maximal.  Faces
+    are produced by closing them downward one dimension at a time, with
+    deduplication, and each level is sorted lexicographically.  More faces
+    than ``guard`` raise :class:`SizeGuardError`.
+    """
+    if not facets:
+        return []
+    dmax = max(map(len, facets)) - 1
+    # a facet with k vertices alone has 2**k - 1 faces: refuse before
+    # closing a level whose faces would not fit in memory
+    if (1 << (dmax + 1)) - 1 > guard:
+        raise SizeGuardError(f"face-count guard {guard} exceeded")
+    levels: list[set] = [set() for _ in range(dmax + 1)]
+    for f in facets:
+        levels[len(f) - 1].add(f)
+    total = sum(len(s) for s in levels)
+    for d in range(dmax, 0, -1):
+        lower = levels[d - 1]
+        before = len(lower)
+        # the faces this level may hold; checked per face it is fed, so the
+        # guard trips before the level is built in full
+        room = guard - total + before
+        for f in levels[d]:
+            lower.update(combinations(f, d))  # f without one vertex, sorted
+            if len(lower) > room:
+                raise SizeGuardError(f"face-count guard {guard} exceeded")
+        total += len(lower) - before
+    return [sorted(s) for s in levels]
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

@@ -82,6 +82,58 @@ def test_homology_csv(capsys):
     assert out.strip() == "1,4,0"
 
 
+def _rp2_face_poset_text():
+    """Poset file of the faces of the 6-vertex RP^2, with a bottom and a top."""
+    rp2 = pd.SimplicialComplex(
+        range(6),
+        [
+            (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
+            (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+        ],
+    )
+    faces = [f for level in rp2.faces_by_dim() for f in level]
+    index = {f: k + 1 for k, f in enumerate(faces)}
+    top = len(faces) + 1
+    ups = [[] for _ in range(top + 1)]
+    for f in faces:
+        if len(f) == 1:
+            ups[0].append(index[f])
+        else:
+            for j in range(len(f)):
+                ups[index[f[:j] + f[j + 1 :]]].append(index[f])
+    for f in rp2.facets:
+        ups[index[f]].append(top)
+    labels = ["bottom"] + ["".join(map(str, f)) for f in faces] + ["top"]
+    return pd.Poset(labels, ups).to_text()
+
+
+# stdout of the program before homology() closed only the strong-collapse
+# core; the cores of the pdiv rows have lower dimension, so their summaries
+# are padded back
+HOMOLOGY_GOLDEN = [
+    (
+        ["pdiv", "5,7", "--torsion", "--json"],
+        '{"reduced": false, "betti": [1, 4, 16, 0, 0, 0], '
+        '"torsion": [[], [], [], [], [], []], "empty": false}\n',
+    ),
+    (["pdiv", "3,3", "--reduced"], "betti (reduced): 0 0\n"),
+    (["pdiv", "7,8", "--torsion"], "betti (non-reduced): 1 4 34 50 0 0 0\ntorsion: none\n"),
+    (["prod", "bool 2", "bool 6"], "betti (non-reduced): 15 30 40 30 13\n"),
+    (["file", "RP2", "--reduced", "--torsion"], "betti (reduced): 0 0 0\ntorsion in degree 1: 2\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", HOMOLOGY_GOLDEN, ids=[" ".join(argv) for argv, _ in HOMOLOGY_GOLDEN]
+)
+def test_homology_output_is_golden(capsys, tmp_path, argv, stdout):
+    if argv[0] == "file":
+        path = tmp_path / "rp2.txt"
+        path.write_text(_rp2_face_poset_text())
+        argv = ["file", str(path)] + argv[2:]
+    assert run(capsys, "homology", *argv) == (0, stdout, "")
+
+
 def test_homology_parse_error(capsys):
     code, _, err = run(capsys, "homology", "pdiv", "wat")
     assert code == 2
@@ -94,13 +146,23 @@ def test_homology_guard_exit(capsys):
     assert "guard" in err
 
 
-def test_homology_long_chain_hits_face_guard(capsys, monkeypatch):
-    # P(1500) is a chain: one maximal chain longer than the recursion
-    # limit, and a 1499-vertex simplex far beyond the face guard
+def test_homology_long_chain_collapses_to_a_point(capsys, monkeypatch):
+    # P(1500) is a chain: one maximal chain longer than the recursion limit,
+    # and a 1499-vertex simplex whose faces are far beyond the face guard.
+    # Homology closes only the faces of its strong-collapse core, one vertex.
     monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
-    code, _, err = run(capsys, "homology", "pdiv", "1500")
-    assert code == 3
-    assert err.strip() == "error: face-count guard 2000000 exceeded"
+    code, out, err = run(capsys, "homology", "pdiv", "1500", "--reduced")
+    assert (code, err) == (0, "")
+    assert out == "betti (reduced): " + " ".join(["0"] * 1499) + "\n"
+
+
+def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
+    # B2 xp B6 has no dominated vertex: 3,194 maximal chains pass the chain
+    # guard, and its 14,048 faces trip the face guard
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5000")
+    code, out, err = run(capsys, "homology", "prod", "bool 2", "bool 6")
+    assert (code, out) == (3, "")
+    assert err == "error: face-count guard 5000 exceeded\n"
 
 
 def test_homology_file_with_repeated_index(capsys, tmp_path):

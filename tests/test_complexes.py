@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,14 +120,34 @@ def test_face_guard(monkeypatch):
 
 def test_face_guard_applies_to_cached_faces(monkeypatch):
     cx = SimplicialComplex(range(4), [(0, 1, 2, 3)])
+    # no vertex of the boundary of the 3-simplex is dominated, so homology
+    # closes the faces of the complex itself and meets its cache
+    sphere = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert len(cx.faces_by_dim()) == 4
+    assert len(sphere.faces_by_dim()) == 3
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "1")
     with pytest.raises(pd.SizeGuardError):
         cx.faces_by_dim()
     with pytest.raises(pd.SizeGuardError):
-        pd.homology(cx)
+        pd.homology(sphere)
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "15")
     assert cx.f_vector() == (4, 6, 4, 1)
+
+
+def test_face_guard_trips_partway_through_a_level(monkeypatch):
+    # 5,000 disjoint 7-simplices: their ridges alone, 40,000 tuples of 7,
+    # would take several MB; the guard is crossed after a few facets
+    facets = [tuple(range(8 * i, 8 * i + 8)) for i in range(5000)]
+    cx = SimplicialComplex(range(40000), facets, validate=False)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", str(len(facets) + 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(pd.SizeGuardError):
+            cx.faces_by_dim()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_face_guard_env_override(monkeypatch):
