@@ -34,7 +34,7 @@ def face_guard_default() -> int:
 class SimplicialComplex:
     """Vertex labels plus facets given as sorted tuples of vertex indices."""
 
-    __slots__ = ("vertices", "facets", "_faces")
+    __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices, facets, validate=True):
         self.vertices = tuple(vertices)
@@ -46,7 +46,6 @@ class SimplicialComplex:
             if f[0] < 0 or f[-1] >= n:
                 raise ValueError(f"facet {f} has out-of-range vertices")
         self.facets = tuple(normalized)
-        self._faces = None
         if validate:
             self._check_antichain()
             covered = set()
@@ -90,15 +89,10 @@ class SimplicialComplex:
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """All faces grouped by dimension, each list sorted lexicographically.
 
-        More faces in all than the face guard raise :class:`SizeGuardError`,
-        whether or not they are cached.
+        Faces are never cached: every call closes them again, and more faces
+        in all than the face guard raise :class:`SizeGuardError`.
         """
-        guard = face_guard_default()
-        if self._faces is None:
-            self._faces = _close_faces(self.facets, guard)
-        if sum(len(level) for level in self._faces) > guard:
-            raise SizeGuardError(f"face-count guard {guard} exceeded")
-        return self._faces
+        return _close_faces(self.facets)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension; empty tuple for the empty complex."""
@@ -140,16 +134,18 @@ class SimplicialComplex:
         return cls(range(n), facets)
 
 
-def _close_faces(facets, guard: int) -> list[list[tuple[int, ...]]]:
+def _close_faces(facets) -> list[list[tuple[int, ...]]]:
     """All faces of the complex generated by ``facets``, grouped by dimension.
 
     ``facets`` are sorted tuples; they need not be inclusion-maximal.  Faces
     are produced by closing them downward one dimension at a time, with
     deduplication, and each level is sorted lexicographically.  More faces
-    than ``guard`` raise :class:`SizeGuardError`.
+    than :func:`face_guard_default` raise :class:`SizeGuardError`; this is
+    the one place that guard is held to faces.
     """
     if not facets:
         return []
+    guard = face_guard_default()
     dmax = max(map(len, facets)) - 1
     # a facet with k vertices alone has 2**k - 1 faces: refuse before
     # closing a level whose faces would not fit in memory
@@ -159,6 +155,8 @@ def _close_faces(facets, guard: int) -> list[list[tuple[int, ...]]]:
     for f in facets:
         levels[len(f) - 1].add(f)
     total = sum(len(s) for s in levels)
+    if total > guard:  # the generators alone, e.g. many isolated vertices
+        raise SizeGuardError(f"face-count guard {guard} exceeded")
     for d in range(dmax, 0, -1):
         lower = levels[d - 1]
         before = len(lower)

@@ -58,7 +58,7 @@ from functools import reduce
 from math import gcd
 from operator import or_
 
-from .complexes import SimplicialComplex, _close_faces, face_guard_default
+from .complexes import SimplicialComplex, _close_faces
 
 
 # -- sparse phase ---------------------------------------------------------
@@ -249,7 +249,7 @@ def _bits(mask: int) -> list[int]:
     return found
 
 
-def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]] | None:
+def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]]:
     """The facets of the core of ``k``: dominated vertices deleted until none is left.
 
     A vertex v is dominated by w != v when every generator containing v
@@ -257,11 +257,9 @@ def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]] | None:
     at that has a dominator not yet deleted.  The generators that lost
     vertices are then shrunk in place, and those that repeat or now lie in
     another are dropped.  Only their vertices can have become dominated, so
-    they are all the next round looks at.  Returns None when nothing is
-    deleted.
+    they are all the next round looks at.  When nothing is dominated the
+    generators are the facets of ``k``; the empty complex has none.
     """
-    if k.is_empty:
-        return None
     n = len(k.vertices)
     gens = list(k.facets)
     # rows[v]: the indices of the generators containing v.  Bitmasks make the
@@ -349,8 +347,6 @@ def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]] | None:
         # kept its vertices and lay in another would have done so before
         drop([i for i in distinct.values() if inside(i)])
         todo = sorted({v for f in distinct for v in f})
-    if all(alive):
-        return None
     return [f for i, f in enumerate(gens) if i not in dropped]
 
 
@@ -398,11 +394,7 @@ def homology(
     elimination and the summary leaves the torsion out.  Only the faces of
     the strong-collapse core are closed and reduced (module docstring).
     """
-    core = _strong_collapse(k)
-    if core is None:  # k's own faces, cached and guarded as usual
-        faces = k.faces_by_dim()
-    else:
-        faces = _close_faces(core, face_guard_default())
+    faces = _close_faces(_strong_collapse(k))
     if not faces:
         return HomologySummary(
             reduced=reduced,

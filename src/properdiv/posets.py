@@ -64,7 +64,8 @@ def pd_le(u, v) -> bool:
 class Poset:
     """A finite poset given by labels and its cover (Hasse) digraph.
 
-    ``upcovers[i]`` lists the indices that cover element ``i``.  ``bottom``
+    ``upcovers[i]`` lists the indices that cover element ``i`` and
+    ``downcovers[i]`` those it covers, both ascending.  ``bottom``
     and ``top`` are detected automatically (present iff the poset has a
     unique minimal / maximal element).
     """
@@ -74,7 +75,7 @@ class Poset:
         "upcovers",
         "bottom",
         "top",
-        "_downcovers",
+        "downcovers",
         "_above",
         "_below",
         "_index",
@@ -87,18 +88,20 @@ class Poset:
         self.upcovers = tuple(tuple(sorted(set(c))) for c in upcovers)
         if len(self.upcovers) != n:
             raise ValueError("labels and upcovers must have equal length")
-        for covers in self.upcovers:
+        down = [[] for _ in range(n)]
+        for i, covers in enumerate(self.upcovers):
             for j in covers:
                 if not 0 <= j < n:
                     raise ValueError(f"cover target {j} out of range")
-        self._downcovers = None
+                down[j].append(i)  # i ascends, so each list is sorted
+        self.downcovers = tuple(map(tuple, down))
         self._above = None
         self._below = None
         self._index = None
         self._topo = self._toposort()  # raises on cycles
         if validate:
             self._check_reduced()
-        minimals = [i for i in range(n) if not self.downcovers[i]]
+        minimals = [i for i in range(n) if not down[i]]
         maximals = [i for i in range(n) if not self.upcovers[i]]
         self.bottom = minimals[0] if len(minimals) == 1 else None
         self.top = maximals[0] if len(maximals) == 1 else None
@@ -116,16 +119,6 @@ class Poset:
     def is_bounded(self) -> bool:
         return self.bottom is not None and self.top is not None
 
-    @property
-    def downcovers(self):
-        if self._downcovers is None:
-            down = [[] for _ in self.labels]
-            for i, ups in enumerate(self.upcovers):
-                for j in ups:
-                    down[j].append(i)
-            self._downcovers = tuple(tuple(sorted(d)) for d in down)
-        return self._downcovers
-
     def index_of(self, label) -> int:
         if self._index is None:
             self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -133,10 +126,7 @@ class Poset:
 
     def _toposort(self):
         n = len(self.labels)
-        indeg = [0] * n
-        for ups in self.upcovers:
-            for j in ups:
-                indeg[j] += 1
+        indeg = [len(d) for d in self.downcovers]
         stack = [i for i in range(n) if indeg[i] == 0]
         order = []
         while stack:

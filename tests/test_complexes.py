@@ -120,8 +120,9 @@ def test_face_guard(monkeypatch):
 
 def test_face_guard_applies_to_cached_faces(monkeypatch):
     cx = SimplicialComplex(range(4), [(0, 1, 2, 3)])
-    # no vertex of the boundary of the 3-simplex is dominated, so homology
-    # closes the faces of the complex itself and meets its cache
+    # faces are closed again on every call, so the guard trips after a call
+    # that succeeded; no vertex of the boundary of the 3-simplex is
+    # dominated, so homology closes all of its faces
     sphere = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert len(cx.faces_by_dim()) == 4
     assert len(sphere.faces_by_dim()) == 3
@@ -132,6 +133,17 @@ def test_face_guard_applies_to_cached_faces(monkeypatch):
         pd.homology(sphere)
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "15")
     assert cx.f_vector() == (4, 6, 4, 1)
+
+
+def test_face_guard_counts_the_vertices_of_a_0_dimensional_complex(monkeypatch):
+    # no face lies below a vertex, so the guard must count the generators
+    # before it closes any level
+    cx = SimplicialComplex(range(10), [(v,) for v in range(10)])
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5")
+    with pytest.raises(pd.SizeGuardError):
+        cx.f_vector()
+    with pytest.raises(pd.SizeGuardError):
+        pd.homology(cx)
 
 
 def test_face_guard_trips_partway_through_a_level(monkeypatch):

@@ -502,6 +502,14 @@ def test_poset_text_rejects_garbage():
             pd.Poset.from_text(f"elements: {count}\ncovers:\n0 < 1\n")
 
 
+def test_constructor_rejects_cover_targets_out_of_range():
+    # from_text checks its own indices first; this reaches the constructor,
+    # where -1 would otherwise wrap to the last element's down-covers
+    for target in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            pd.Poset(range(2), [[target], []])
+
+
 def test_cycle_rejected():
     with pytest.raises(ValueError):
         pd.Poset("abc", [[1], [2], [0]])
