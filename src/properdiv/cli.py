@@ -17,6 +17,7 @@ from .errors import SizeGuardError
 from .homology import homology
 from .posets import (
     Poset,
+    _format_label,
     as_multidegree,
     boolean_lattice,
     proper_divisibility_poset,
@@ -91,10 +92,6 @@ def _parse_prefix(tokens):
         right = parse_descriptor(shlex.split(tokens[2]))
         return proper_product(left, right), tokens[3:]
     raise DescriptorError(f"unknown descriptor kind {kind!r}")
-
-
-def _fmt_vec(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 # -- subcommands --------------------------------------------------------------
@@ -180,7 +177,7 @@ def cmd_falling(args) -> int:
         print(json.dumps([c.to_json_list() for c in chains]))
     else:
         for c in chains:
-            print(" ".join(_fmt_vec(e) for e in c.elements))
+            print(" ".join(_format_label(e) for e in c.elements))
     return 0
 
 

@@ -28,6 +28,7 @@ neither 0_k nor an atom.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from itertools import product as _cartesian
 from math import prod
 
@@ -290,9 +291,10 @@ class Poset:
     # -- isomorphism ---------------------------------------------------------
 
     def _refined_colors(self):
-        # iterated neighborhood refinement; renumbering follows sorted
-        # signature order so colors are comparable across posets; seeded with
-        # height and depth, a chain settles in one round, not n/2
+        # iterated neighborhood refinement, numbered per poset in sorted
+        # signature order: a color names the same signature in two posets only
+        # when both produce the same signature sets, as isomorphic posets do;
+        # seeded with height and depth, a chain settles in one round, not n/2
         n = len(self.labels)
         down = self.downcovers
         height = self._longest_paths(self._topo, self.upcovers)
@@ -325,8 +327,6 @@ class Poset:
             return None
         ca = self._refined_colors()
         cb = other._refined_colors()
-        from collections import Counter
-
         if Counter(ca) != Counter(cb):
             return None
         n = len(self)
@@ -344,8 +344,6 @@ class Poset:
         inverse = [-1] * n
 
         def compatible(i, j):
-            if cb[j] != ca[i]:
-                return False
             if len(up_a[i]) != len(up_b[j]) or len(down_a[i]) != len(down_b[j]):
                 return False
             for k in up_a[i]:

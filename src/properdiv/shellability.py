@@ -18,6 +18,11 @@ induced by the dual-lexicographic atom ordering makes a maximal chain of
 the dual of P(a, b) falling iff it never steps onto the componentwise
 decrement except at the last step and never passes through a border
 element (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 in its interior.
+
+Both the dual-lex certificate and the falling chains walk P(a) by index.
+P(a) is indexed lexicographically, so the dual-lex order of an interval's
+atoms is its down-covers in descending index order, and the componentwise
+decrement of an element other than the bottom is its last down-cover.
 """
 
 from __future__ import annotations
@@ -301,26 +306,18 @@ def dual_lex_certificate(a) -> RaoCertificate:
     decrement of its bottom.  Sub-certificates are shared between intervals
     with the same bottom vector.
     """
-    a = as_multidegree(a)
     poset = proper_divisibility_poset(a)
     down = poset.downcovers
     labels = poset.labels
     certs: list[RaoCertificate] = []
     # index order is lexicographic, a linear extension of P(a): every
-    # down-cover's certificate is built before it is needed
-    for idx, vec in enumerate(labels):
-        if all(x <= 1 for x in vec):
-            cert = RaoCertificate(
-                ordering=tuple(labels[k] for k in down[idx]), children=None
-            )
-        else:
-            order = sorted(down[idx], key=lambda k: tuple(-x for x in labels[k]))
-            cert = RaoCertificate(
-                ordering=tuple(labels[k] for k in order),
-                children=tuple(certs[k] for k in order),
-            )
-        certs.append(cert)
-    return certs[poset.index_of(a)]
+    # down-cover's certificate is built before it is needed, and read
+    # backwards an element's down-covers are in dual-lex order
+    for vec, covers in zip(labels, down):
+        order = covers[::-1]
+        children = None if all(x <= 1 for x in vec) else tuple(certs[k] for k in order)
+        certs.append(RaoCertificate(tuple(labels[k] for k in order), children))
+    return certs[poset.top]
 
 
 # -- falling chains (two coordinates) ----------------------------------------
@@ -357,36 +354,34 @@ def falling_chains(
     """All falling maximal chains of the dual of P(a, b), depth-first.
 
     Steps onto the componentwise decrement are pruned except directly onto
-    (0, 0), and border elements are pruned outright (they could only ever
-    occupy interior positions).  Chains come out ordered lexicographically
-    by their vector sequences.
+    (0, 0).  That also keeps border elements out: the only down-cover of
+    (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 is its decrement, which is
+    not (0, 0).  Chains come out ordered lexicographically by their vector
+    sequences.
     """
     if not (2 <= a <= b):
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
     poset = proper_divisibility_poset((a, b))
     down = poset.downcovers
     labels = poset.labels
-    zero = (0, 0)
     out: list[FallingChain] = []
-    path: list[tuple[int, int]] = [(a, b)]
-    # depth-first with one (down-cover iterator, decrement) per path element
-    stack = [(iter(down[poset.index_of((a, b))]), least_atom((a, b)))]
+    # depth-first over indices, one down-cover iterator per path element;
+    # an element's last down-cover is its decrement (see the module docstring)
+    path = [poset.top]
+    stack = [iter(down[poset.top])]
     while stack:
-        covers, dec = stack[-1]
-        k = next(covers, None)
+        k = next(stack[-1], None)
         if k is None:
             stack.pop()
             path.pop()
-            continue
-        z = labels[k]
-        if z == zero:
+        elif k == poset.bottom:
             if length is None or len(path) == length:
                 if len(out) >= posets.DEFAULT_CHAIN_GUARD:
                     raise SizeGuardError(f"more than {posets.DEFAULT_CHAIN_GUARD} falling chains")
-                out.append(FallingChain(tuple(path) + (zero,)))
-        elif z != dec and not is_border(z):
-            path.append(z)
-            stack.append((iter(down[k]), least_atom(z)))
+                out.append(FallingChain(tuple(labels[i] for i in path) + (labels[k],)))
+        elif k != down[path[-1]][-1]:
+            path.append(k)
+            stack.append(iter(down[k]))
     return out
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: the Mobius number
 comes from chain counting, invariant factors from gcds of minors, ranks
 from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
-proper products from comparing all pairs.
+proper products from comparing all pairs, falling chains from filtering
+every maximal chain by their definition.
 """
 
 from fractions import Fraction
@@ -190,3 +191,33 @@ def all_pairs_proper_product(*factors):
     ]
     labels = tuple(tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members)
     return labels, _covers_by_all_pairs(members, leq)
+
+
+def falling_chains_by_definition(dual, length=None):
+    """Falling maximal chains of ``dual``, the dual of P(a, b), as label tuples.
+
+    A maximal chain from (a, b) down to (0, 0) is falling when no step but
+    the last lands on the componentwise decrement of the element before it,
+    and no element other than its ends is a border element (1, k), (k, 1),
+    (0, k) or (k, 0) with k >= 2.  ``length`` keeps only the chains with
+    that many steps.
+    """
+
+    def decrement(e):
+        return tuple(max(x - 1, 0) for x in e)
+
+    def border(e):
+        c, d = e
+        return (c <= 1 and d >= 2) or (d <= 1 and c >= 2)
+
+    out = []
+    for chain in dual.maximal_chains():
+        elems = tuple(dual.labels[i] for i in chain)
+        if length is not None and len(elems) - 1 != length:
+            continue
+        if any(elems[i + 1] == decrement(elems[i]) for i in range(len(elems) - 2)):
+            continue
+        if any(border(e) for e in elems[1:-1]):
+            continue
+        out.append(elems)
+    return out

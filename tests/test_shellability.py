@@ -8,6 +8,7 @@ import properdiv as pd
 from properdiv import posets
 from properdiv.shellability import RaoCertificate
 
+from oracles import falling_chains_by_definition
 from strategies import bounded_posets
 
 
@@ -66,6 +67,19 @@ def test_verify_rejects_shape_mismatch():
     )
     with pytest.raises(ValueError):
         pd.verify_rao(star, missing_children)
+
+
+def test_verify_rejects_malformed_certificates():
+    star = _dual_pdiv((2, 2))
+    cert = pd.dual_lex_certificate((2, 2))
+    unknown = RaoCertificate(((7, 7),) + cert.ordering[1:], cert.children)
+    with pytest.raises(ValueError, match="unknown atom label"):
+        pd.verify_rao(star, unknown)
+    # the interval above (1, 1) is {(1, 1), (0, 0)}: nothing to certify there
+    leaf = RaoCertificate(((0, 0),), (RaoCertificate((), None),))
+    overgrown = RaoCertificate(cert.ordering, (leaf,) + cert.children[1:])
+    with pytest.raises(ValueError, match="length <= 1 but the certificate carries children"):
+        pd.verify_rao(star, overgrown)
 
 
 # -- search_rao ------------------------------------------------------------------
@@ -156,6 +170,34 @@ def test_dual_lex_certificates_verify_small():
             assert ok, (vec, why)
 
 
+def test_dual_lex_certificate_matches_the_sorting_rule():
+    # the reference: order each interval's down-covers by negated label
+    for n in (1, 2, 3):
+        for vec in cartesian(range(5), repeat=n):
+            p = pd.proper_divisibility_poset(vec)
+            labels, down = p.labels, p.downcovers
+            # the index order the certificate reads dual-lex order from
+            assert all(u < v for u, v in zip(labels, labels[1:]))
+            for i, v in enumerate(labels):
+                if i != p.bottom:
+                    assert labels[down[i][-1]] == pd.least_atom(v)
+            seen = set()
+            stack = [(vec, pd.dual_lex_certificate(vec))]
+            while stack:
+                v, node = stack.pop()
+                if (v, id(node)) in seen:
+                    continue
+                seen.add((v, id(node)))
+                want = sorted(
+                    (labels[k] for k in down[p.index_of(v)]),
+                    key=lambda u: tuple(-x for x in u),
+                )
+                assert node.ordering == tuple(want), (vec, v)
+                assert (node.children is None) == all(x <= 1 for x in v), (vec, v)
+                if node.children is not None:
+                    stack.extend(zip(node.ordering, node.children))
+
+
 def test_duality_asymmetry_witness():
     assert pd.search_rao(pd.proper_divisibility_poset((4, 4))) is None
     assert pd.search_rao(_dual_pdiv((4, 4))) is not None
@@ -215,6 +257,16 @@ def test_falling_chain_structural_conditions():
                 for i in range(1, len(elems) - 2):
                     assert not pd.is_border(elems[i])
                 assert pd.check_final_increments(c)
+
+
+def test_falling_chains_match_the_definition():
+    for a in range(2, 9):
+        for b in range(a, 9):
+            dual = pd.proper_divisibility_poset((a, b)).dual()
+            for length in (None, 2, 3):
+                want = falling_chains_by_definition(dual, length)
+                got = [c.elements for c in pd.falling_chains(a, b, length)]
+                assert got == want, (a, b, length)
 
 
 def test_falling_chains_vanishing_above_top_degree():
