@@ -24,8 +24,8 @@ from .posets import (
     proper_product,
 )
 from .shellability import (
+    _dual_lex_certificate,
     betti_from_falling_chains,
-    dual_lex_certificate,
     falling_chains,
     search_rao,
     verify_rao,
@@ -185,10 +185,10 @@ def cmd_rao(args) -> int:
     if args.dual_lex is not None:
         if args.descriptor or args.search or args.dual:
             raise DescriptorError("rao --dual-lex takes no descriptor, --search or --dual")
-        vec = _parse_vector(args.dual_lex)
-        cert = dual_lex_certificate(vec)
+        poset = proper_divisibility_poset(_parse_vector(args.dual_lex))
+        cert = _dual_lex_certificate(poset)
         sys.stdout.writelines(cert.iterencode())
-        ok, why = verify_rao(proper_divisibility_poset(vec).dual(), cert)
+        ok, why = verify_rao(poset.dual(), cert)
         print(f"\nverified: {'true' if ok else 'false'}")
         if not ok:
             print(why, file=sys.stderr)

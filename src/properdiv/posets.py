@@ -23,6 +23,9 @@ itself and a coordinate with x_k = 0_k can keep z_k = 0_k, so such a zs
 exists iff no x_k != 0_k is covered by y_k.  If xs is the bottom tuple,
 zs != xs needs some 0_k < z_k < y_k, which exists iff some y_k is
 neither 0_k nor an atom.
+
+Rule-built posets are assembled from such covers directly, without the
+checks that ``Poset(...)`` applies to covers from outside.
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ class Poset:
     ``downcovers[i]`` those it covers, both ascending.  ``bottom``
     and ``top`` are detected automatically (present iff the poset has a
     unique minimal / maximal element).
+
+    ``Poset(labels, upcovers)`` takes covers from outside: it sorts and
+    de-duplicates them and refuses out-of-range targets, cycles and covers
+    implied by longer paths.  The module's constructors and ``open_part``
+    skip that step, since their rules yield the sorted transitive reduction
+    directly; ``dual()`` swaps fields and shares them with its original.
     """
 
     __slots__ = (
@@ -83,29 +92,32 @@ class Poset:
         "_topo",
     )
 
-    def __init__(self, labels, upcovers, validate=True):
-        self.labels = tuple(labels)
-        n = len(self.labels)
-        self.upcovers = tuple(tuple(sorted(set(c))) for c in upcovers)
-        if len(self.upcovers) != n:
+    def __init__(self, labels, upcovers):
+        labels = tuple(labels)
+        n = len(labels)
+        ups = tuple(tuple(sorted(set(c))) for c in upcovers)
+        if len(ups) != n:
             raise ValueError("labels and upcovers must have equal length")
         down = [[] for _ in range(n)]
-        for i, covers in enumerate(self.upcovers):
+        for i, covers in enumerate(ups):
             for j in covers:
                 if not 0 <= j < n:
                     raise ValueError(f"cover target {j} out of range")
                 down[j].append(i)  # i ascends, so each list is sorted
-        self.downcovers = tuple(map(tuple, down))
-        self._above = None
-        self._below = None
-        self._index = None
-        self._topo = self._toposort()  # raises on cycles
-        if validate:
-            self._check_reduced()
-        minimals = [i for i in range(n) if not down[i]]
-        maximals = [i for i in range(n) if not self.upcovers[i]]
+        self._assemble(labels, ups, tuple(map(tuple, down)))
+        self._check_reduced()
+
+    def _assemble(self, labels, upcovers, downcovers, topo=None):
+        # covers must be sorted, distinct, in range and mutually inverse;
+        # ``topo`` is a linear extension, or None to compute one (raises on cycles)
+        self.labels, self.upcovers, self.downcovers = labels, upcovers, downcovers
+        self._above = self._below = self._index = None
+        self._topo = self._toposort() if topo is None else topo
+        minimals = [i for i, d in enumerate(downcovers) if not d]
+        maximals = [i for i, u in enumerate(upcovers) if not u]
         self.bottom = minimals[0] if len(minimals) == 1 else None
         self.top = maximals[0] if len(maximals) == 1 else None
+        return self
 
     # -- basic structure ------------------------------------------------
 
@@ -207,17 +219,22 @@ class Poset:
     # -- derived posets ----------------------------------------------------
 
     def dual(self) -> "Poset":
-        """Same elements with every cover reversed."""
-        return Poset(self.labels, self.downcovers, validate=False)
+        """Same elements with every cover reversed; shares this poset's structure."""
+        d = Poset.__new__(Poset)
+        d.labels, d.upcovers, d.downcovers = self.labels, self.downcovers, self.upcovers
+        d.bottom, d.top, d._above, d._below = self.top, self.bottom, self._below, self._above
+        d._index, d._topo = self._index, self._topo[::-1]
+        return d
 
     def _induced(self, members: list[int]) -> "Poset":
-        # valid only for convex element sets (covers restrict to covers)
+        # valid only for convex element sets (covers restrict to covers) listed
+        # ascending, so that the renumbering keeps every cover list sorted
         remap = {old: new for new, old in enumerate(members)}
-        labels = [self.labels[i] for i in members]
-        ups = [
-            [remap[j] for j in self.upcovers[i] if j in remap] for i in members
-        ]
-        return Poset(labels, ups, validate=False)
+        labels = tuple(self.labels[i] for i in members)
+        ups = tuple(tuple(remap[j] for j in self.upcovers[i] if j in remap) for i in members)
+        downs = tuple(tuple(remap[j] for j in self.downcovers[i] if j in remap) for i in members)
+        topo = tuple(remap[i] for i in self._topo if i in remap)
+        return Poset.__new__(Poset)._assemble(labels, ups, downs, topo)
 
     def open_part(self) -> "Poset":
         """The poset minus its bottom and top elements (must be bounded)."""
@@ -455,7 +472,7 @@ class Poset:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"cover index out of range: {ln!r}")
                 ups[i].append(j)
-        poset = cls(labels, ups, validate=True)
+        poset = cls(labels, ups)
         if declared_bottom is not None and poset.bottom != declared_bottom:
             raise ValueError("declared bottom is not the unique minimal element")
         if declared_top is not None and poset.top != declared_top:
@@ -486,7 +503,9 @@ def chain(length: int) -> Poset:
     if length < 0:
         raise ValueError("chain length must be non-negative")
     n = length + 1
-    return Poset(range(n), [[i + 1] if i + 1 < n else [] for i in range(n)], validate=False)
+    ups = tuple((i + 1,) for i in range(length)) + ((),)
+    downs = ((),) + tuple((i,) for i in range(length))
+    return Poset.__new__(Poset)._assemble(tuple(range(n)), ups, downs, tuple(range(n)))
 
 
 def boolean_lattice(n: int) -> Poset:
@@ -496,10 +515,9 @@ def boolean_lattice(n: int) -> Poset:
     if n > DEFAULT_BOOLEAN_GUARD:
         raise SizeGuardError(f"boolean lattice guard is n <= {DEFAULT_BOOLEAN_GUARD}")
     size = 1 << n
-    ups = []
-    for s in range(size):
-        ups.append([s | (1 << b) for b in range(n) if not (s >> b) & 1])
-    return Poset(range(size), ups, validate=False)
+    ups = tuple(tuple(s | 1 << b for b in range(n) if not s >> b & 1) for s in range(size))
+    downs = tuple(tuple(s ^ 1 << b for b in reversed(range(n)) if s >> b & 1) for s in range(size))
+    return Poset.__new__(Poset)._assemble(tuple(range(size)), ups, downs, tuple(range(size)))
 
 
 def proper_divisibility_poset(a) -> Poset:
@@ -593,19 +611,26 @@ def _product_poset(factors) -> Poset:
     index = {xs: i for i, xs in enumerate(members)}
     bottom = index[bottoms]
     ups = [[] for _ in members]
+    downs = []
     for i, ys in enumerate(members):
         found = set()
         for k, y in enumerate(ys):
             if lower[k][y]:
                 choices = [lower[k][y] if j == k else rest[j][ys[j]] for j in range(n)]
-                found.update(index[xs] for xs in _cartesian(*choices))
+                found.update(map(index.__getitem__, _cartesian(*choices)))
         # found is empty iff every y_k is 0_k or an atom: rule (b)
         if not found and i != bottom:
             found.add(bottom)
+        downs.append(tuple(sorted(found)))
         for x in found:
-            ups[x].append(i)
-    labels = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
-    return Poset(labels, ups, validate=False)
+            ups[x].append(i)  # i ascends, so each list is sorted
+    # chains and Boolean lattices label by index; where index order extends
+    # every factor's order, lexicographic order extends the product's
+    ordered = all(p._topo == tuple(range(len(p))) for p in factors)
+    if any(p.labels != tuple(range(len(p))) for p in factors):
+        members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
+    topo = tuple(range(len(members))) if ordered else None
+    return Poset.__new__(Poset)._assemble(tuple(members), tuple(map(tuple, ups)), tuple(downs), topo)
 
 
 def _strict_downsets(p: Poset) -> list[int]:

@@ -9,9 +9,9 @@ equivalent to CL-shellability of P.
 
 Certificates store the chosen ordering at every interval.  The search and
 the verifier both work on the intervals [x, 1] of the ambient poset using
-its comparability bitmasks, and memoize on (x, required prefix set): the
-constraint condition (i) imposes on a child interval is exactly which
-atoms must come first, nothing more.
+its comparability bitmasks, and memoize on x and the bitmask of the
+required prefix: the constraint condition (i) imposes on a child interval
+is exactly which atoms must come first, nothing more.
 
 The falling-chain machinery is specific to two coordinates: the labeling
 induced by the dual-lexicographic atom ordering makes a maximal chain of
@@ -125,6 +125,7 @@ class _IntervalContext:
         self.strict_above = [
             p.above[i] & ~(1 << i) for i in range(len(p))
         ]
+        self.up_mask = [sum(1 << q for q in ups) for ups in p.upcovers]
 
     def is_short(self, x: int) -> bool:
         # the interval [x, top] has length <= 1 iff it has <= 2 elements
@@ -141,11 +142,9 @@ class _IntervalContext:
                 witness |= self.above[q]
         return not (trigger & ~witness)
 
-    def f_atoms(self, atom: int, prefix_mask: int) -> frozenset[int]:
-        """Atoms of [atom, top] lying above some earlier atom."""
-        return frozenset(
-            q for q in self.up[atom] if (prefix_mask >> q) & 1
-        )
+    def f_atoms(self, atom: int, prefix_mask: int) -> int:
+        """Bitmask of the atoms of [atom, top] lying above some earlier atom."""
+        return self.up_mask[atom] & prefix_mask
 
 
 def verify_rao(p: Poset, cert: RaoCertificate):
@@ -156,27 +155,28 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     not permutations of the proper atom sets.
     """
     ctx = _IntervalContext(p)
+    index = {lab: i for i, lab in enumerate(p.labels)}
 
     def label_of(x):
         return p.labels[x]
 
-    def check(x: int, node: RaoCertificate, required_first: frozenset[int]):
-        # yields each child interval to check and is sent its result
+    def check(x: int, node: RaoCertificate, required_first: int):
+        # yields each child interval to check and is sent its result;
+        # ``required_first`` is the bitmask of the atoms that must lead
         atoms = ctx.up[x]
         try:
-            ordering = tuple(p.index_of(lab) for lab in node.ordering)
+            ordering = tuple(map(index.__getitem__, node.ordering))
         except KeyError as exc:
             raise ValueError(f"unknown atom label in certificate: {exc}") from None
-        if sorted(ordering) != sorted(atoms):
+        if sorted(ordering) != list(atoms):
             raise ValueError(
                 f"ordering at interval above {label_of(x)!r} is not a "
                 f"permutation of its atoms"
             )
-        prefix = set(ordering[: len(required_first)])
-        if prefix != set(required_first):
+        if sum(1 << i for i in ordering[: required_first.bit_count()]) != required_first:
             return (
                 False,
-                f"condition (i): atoms {sorted(label_of(i) for i in required_first)} "
+                f"condition (i): atoms {sorted(map(label_of, posets._bits(required_first)))} "
                 f"must come first in the interval above {label_of(x)!r}",
             )
         if ctx.is_short(x):
@@ -207,7 +207,7 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     # depth-first on an explicit stack: certificates nest once per step of a
     # maximal chain, deeper than the interpreter's recursion limit
     memo: dict = {}
-    stack = [((p.bottom, frozenset(), id(cert)), check(p.bottom, cert, frozenset()))]
+    stack = [((p.bottom, 0, id(cert)), check(p.bottom, cert, 0))]
     result = None
     while stack:
         key, walk = stack[-1]
@@ -237,7 +237,7 @@ def search_rao(p: Poset):
     ctx = _IntervalContext(p)
     memo: dict = {}
 
-    def search(x: int, required_first: frozenset[int]):
+    def search(x: int, required_first: int):
         key = (x, required_first)
         if key in memo:
             return memo[key]
@@ -248,8 +248,8 @@ def search_rao(p: Poset):
             )
             memo[key] = cert
             return cert
-        required = sorted(required_first)
-        rest = sorted(set(atoms) - required_first)
+        required = posets._bits(required_first)
+        rest = [q for q in atoms if not (required_first >> q) & 1]
         ordering: list[int] = []
         children: list[RaoCertificate] = []
 
@@ -284,7 +284,7 @@ def search_rao(p: Poset):
         memo[key] = cert
         return cert
 
-    return search(p.bottom, frozenset())
+    return search(p.bottom, 0)
 
 
 # -- the dual-lexicographic certificate --------------------------------------
@@ -306,7 +306,11 @@ def dual_lex_certificate(a) -> RaoCertificate:
     decrement of its bottom.  Sub-certificates are shared between intervals
     with the same bottom vector.
     """
-    poset = proper_divisibility_poset(a)
+    return _dual_lex_certificate(proper_divisibility_poset(a))
+
+
+def _dual_lex_certificate(poset: Poset) -> RaoCertificate:
+    """``dual_lex_certificate`` for P(a) given as ``proper_divisibility_poset(a)``."""
     down = poset.downcovers
     labels = poset.labels
     certs: list[RaoCertificate] = []

@@ -1,5 +1,6 @@
 import json
 import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -110,7 +111,10 @@ def _rp2_face_poset_text():
 # stdout of the program before homology() closed only the strong-collapse
 # core; the cores of the pdiv rows have lower dimension, so their summaries
 # are padded back
-HOMOLOGY_GOLDEN = [
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# argv after `homology`, unless it starts with `rao`
+GOLDEN = [
     (
         ["pdiv", "5,7", "--torsion", "--json"],
         '{"reduced": false, "betti": [1, 4, 16, 0, 0, 0], '
@@ -120,18 +124,26 @@ HOMOLOGY_GOLDEN = [
     (["pdiv", "7,8", "--torsion"], "betti (non-reduced): 1 4 34 50 0 0 0\ntorsion: none\n"),
     (["prod", "bool 2", "bool 6"], "betti (non-reduced): 15 30 40 30 13\n"),
     (["file", "RP2", "--reduced", "--torsion"], "betti (reduced): 0 0 0\ntorsion in degree 1: 2\n"),
+    # the whole certificate, so that the search's choice of orderings is pinned
+    (
+        ["rao", "pdiv", "4,4", "--search", "--dual"],
+        (GOLDEN_DIR / "rao_pdiv_4_4_search_dual.txt").read_text(),
+    ),
+    (["rao", "--dual-lex", "3,3,3"], (GOLDEN_DIR / "rao_dual_lex_3_3_3.txt").read_text()),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, stdout", HOMOLOGY_GOLDEN, ids=[" ".join(argv) for argv, _ in HOMOLOGY_GOLDEN]
+    "argv, stdout", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN]
 )
 def test_homology_output_is_golden(capsys, tmp_path, argv, stdout):
     if argv[0] == "file":
         path = tmp_path / "rp2.txt"
         path.write_text(_rp2_face_poset_text())
         argv = ["file", str(path)] + argv[2:]
-    assert run(capsys, "homology", *argv) == (0, stdout, "")
+    if argv[0] != "rao":
+        argv = ["homology"] + argv
+    assert run(capsys, *argv) == (0, stdout, "")
 
 
 def test_homology_parse_error(capsys):

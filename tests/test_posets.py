@@ -280,6 +280,53 @@ def test_guard_refuses_before_enumerating():
     assert len(p) == 3601 and p.length() == 60
 
 
+# -- rule-built posets against the checking constructor -----------------------
+
+
+def _assert_assembled_like_checked(p):
+    """``p`` equals the poset the checking constructor builds from its covers."""
+    q = pd.Poset(p.labels, p.upcovers)
+    fields = ("labels", "upcovers", "downcovers", "bottom", "top")
+    assert [getattr(p, f) for f in fields] == [getattr(q, f) for f in fields]
+    position = {x: k for k, x in enumerate(p._topo)}
+    assert sorted(position) == list(range(len(p)))
+    assert all(position[i] < position[j] for i, ups in enumerate(p.upcovers) for j in ups)
+    d = p.dual()
+    assert d.above == p.below
+    dd = d.dual()
+    for field in pd.Poset.__slots__:
+        assert getattr(dd, field) == getattr(p, field), field
+
+
+def _assert_assembled_family(p):
+    for r in (p, p.dual()):
+        _assert_assembled_like_checked(r)
+        if r.is_bounded:
+            _assert_assembled_like_checked(r.open_part())
+
+
+def test_rule_built_posets_match_the_checking_constructor():
+    built = [pd.chain(k) for k in range(5)] + [pd.boolean_lattice(n) for n in range(4)]
+    built += [
+        pd.proper_divisibility_poset(vec)
+        for n in (1, 2, 3)
+        for vec in cartesian(range(5), repeat=n)
+    ]
+    factors = _small_factors()
+    built += [pd.proper_product(p, q) for p in factors for q in factors]
+    for p in built:
+        _assert_assembled_family(p)
+
+
+@given(
+    st.lists(st.tuples(bounded_posets(max_mid=3), st.booleans()), min_size=2, max_size=3)
+)
+@settings(max_examples=60, deadline=None)
+def test_rule_built_products_of_random_factors_match_the_checking_constructor(drawn):
+    factors = [p.dual() if flip else p for p, flip in drawn]
+    _assert_assembled_family(pd.proper_product(*factors))
+
+
 # -- dual, atoms, chains ---------------------------------------------------
 
 
@@ -448,7 +495,7 @@ def test_isomorphism_invariant_under_relabeling(p, rng):
         inv[old] = new
     labels = [p.labels[old] for old in perm]
     ups = [sorted(inv[j] for j in p.upcovers[old]) for old in perm]
-    q = pd.Poset(labels, ups, validate=False)
+    q = pd.Poset(labels, ups)
     assert p.is_isomorphic_to(q)
 
 

@@ -331,6 +331,27 @@ def test_verify_reports_violations_below_the_root():
     )
 
 
+def test_verify_names_every_required_atom_in_label_order():
+    # B4 with subsets named by letters in reverse bit order, so that label
+    # order differs from index order; above the third atom "b" the atoms
+    # "bd" and "bc" lie above earlier atoms and "ab" does not
+    def name(s):
+        return "".join(sorted("dcba"[k] for k in range(4) if s >> k & 1)) or "0"
+
+    p = pd.Poset([name(s) for s in range(16)], pd.boolean_lattice(4).upcovers)
+    cert = pd.search_rao(p)
+    child = cert.children[2]
+    assert (cert.ordering[2], child.ordering) == ("b", ("bd", "bc", "ab"))
+    moved = RaoCertificate(
+        tuple(child.ordering[i] for i in (2, 0, 1)), tuple(child.children[i] for i in (2, 0, 1))
+    )
+    bad = RaoCertificate(cert.ordering, cert.children[:2] + (moved,) + cert.children[3:])
+    assert pd.verify_rao(p, bad) == (
+        False,
+        "condition (i): atoms ['bc', 'bd'] must come first in the interval above 'b'",
+    )
+
+
 # -- JSON shapes ----------------------------------------------------------------
 
 
