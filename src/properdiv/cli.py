@@ -98,6 +98,10 @@ def _parse_prefix(tokens):
 
 
 def cmd_homology(args) -> int:
+    if args.csv and args.torsion:
+        raise DescriptorError(
+            "homology --csv prints only Betti numbers; drop --csv or use --json for --torsion"
+        )
     poset = parse_descriptor(args.descriptor)
     summary = homology(
         order_complex(poset), reduced=args.reduced, torsion=args.torsion
@@ -299,13 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("descriptor", nargs="+", help="pdiv a1,a2,... | bool n | prod A B | file path")
     p_hom.add_argument("--reduced", action="store_true", help="reduced homology")
     p_hom.add_argument("--torsion", action="store_true", help="also compute torsion")
-    p_hom.add_argument("--json", action="store_true")
-    p_hom.add_argument("--csv", action="store_true")
+    hom_format = p_hom.add_mutually_exclusive_group()
+    hom_format.add_argument("--json", action="store_true")
+    hom_format.add_argument("--csv", action="store_true", help="Betti numbers only")
     p_hom.set_defaults(func=cmd_homology)
 
     p_table = sub.add_parser("table", help="recompute the Boolean product table")
-    p_table.add_argument("--json", action="store_true")
-    p_table.add_argument("--csv", action="store_true")
+    table_format = p_table.add_mutually_exclusive_group()
+    table_format.add_argument("--json", action="store_true")
+    table_format.add_argument("--csv", action="store_true")
     p_table.set_defaults(func=cmd_table)
 
     p_fall = sub.add_parser("falling", help="falling chains of the dual of P(a, b)")

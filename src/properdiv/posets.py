@@ -9,9 +9,11 @@ order queries are cheap even on posets with a few thousand elements.
 Posets are immutable after construction and all queries are pure, so
 instances can be shared freely between threads.
 
-Proper products, and P(a) as the proper product of the chains C_{a_k},
-are built straight from the factors' covers.  Write 0_k for the bottom of
-factor k.  A tuple ys covers xs exactly when xs < ys and
+Proper products are built straight from the factors' covers.  P(a) is
+the proper product of the chains C_{a_k}; ``proper_divisibility_poset``
+reads its covers off the same rules by mixed-radix index arithmetic, with
+``proper_product`` of the chains as its reference.  Write 0_k for the
+bottom of factor k.  A tuple ys covers xs exactly when xs < ys and
 
 (a) some x_k != 0_k is covered by y_k in factor k, or
 (b) xs is the bottom tuple and every y_k is 0_k or an atom.
@@ -523,18 +525,67 @@ def boolean_lattice(n: int) -> Poset:
 def proper_divisibility_poset(a) -> Poset:
     """All multidegrees <= a under proper divisibility; a itself is the top.
 
-    Elements are indexed lexicographically by exponent vector with the top
-    last.  u is covered by v iff u < v and either some u_k >= 1 has
-    v_k = u_k + 1, or u = 0 and every v_k is 0 or 1.  The element guard
-    bounds the elements and the candidate covers (see ``proper_product``).
+    The members other than the top are the vectors with 0 <= x_k < a_k, or
+    x_k = 0 where a_k = 0, indexed lexicographically, so x has index
+    sum_k x_k * stride_k in mixed radix max(a_k, 1); a is appended last.
+    Covers are read off rules (a) and (b) of the module docstring for the
+    chains C_{a_k}: y covers x iff either x_k = y_k - 1 >= 1 for some k and
+    every other x_j is below y_j (or 0 where y_j = 0), or x = 0 != y and
+    every y_k is 0 or 1.  ``proper_product`` of those chains builds the same
+    poset field for field and is the tests' reference.  The element guard
+    bounds the elements and the candidate covers, which are counted in
+    closed form before any member is built.
     """
     a = as_multidegree(a)
-    count = prod(ai if ai >= 1 else 1 for ai in a) + (1 if any(a) else 0)
+    radix = [max(ak, 1) for ak in a]
+    count = prod(radix) + (1 if any(a) else 0)
     if count > DEFAULT_ELEMENT_GUARD:
         raise SizeGuardError(
             f"P{a} would have {count} elements (guard {DEFAULT_ELEMENT_GUARD})"
         )
-    return _product_poset([chain(ai) for ai in a])
+    # rule (a) in coordinate k: the top offers prod_{j != k} max(a_j, 1)
+    # candidates, and each of the a_k - 2 values 2 <= y_k < a_k offers
+    # prod_{j != k} sum_y max(y, 1) over the other coordinates' values
+    spread = [1 + r * (r - 1) // 2 for r in radix]
+    candidates = sum(
+        prod(radix[:k] + radix[k + 1 :]) + (ak - 2) * prod(spread[:k] + spread[k + 1 :])
+        for k, ak in enumerate(a)
+        if ak >= 2
+    )
+    if candidates > DEFAULT_ELEMENT_GUARD:
+        raise SizeGuardError(
+            f"product would have {candidates} candidate covers (guard {DEFAULT_ELEMENT_GUARD})"
+        )
+
+    stride = [prod(radix[k + 1 :]) for k in range(len(a))]
+    members = list(_cartesian(*map(range, radix)))
+    if any(a):
+        members.append(a)
+    ups = [[] for _ in members]
+    downs = [()]  # index 0 is the bottom
+    for i in range(1, len(members)):
+        # rule (a) acts in the coordinates with y_k >= 2; x_j = 0 where y_j <= 1
+        big = [(stride[k], yk) for k, yk in enumerate(members[i]) if yk >= 2]
+        if not big:
+            down = (0,)  # rule (b)
+        elif len(big) == 1:  # the single sum is y_k lowered by one, the rest 0
+            s, yk = big[0]
+            down = ((yk - 1) * s,)
+        else:
+            found = set()
+            for k, (s, yk) in enumerate(big):
+                sums = [(yk - 1) * s]
+                for j, (t, yj) in enumerate(big):
+                    if j != k:
+                        sums = [b + o for b in sums for o in range(0, yj * t, t)]
+                found.update(sums)
+            down = tuple(sorted(found))
+        downs.append(down)
+        for x in down:
+            ups[x].append(i)  # i ascends, so each list is sorted
+    return Poset.__new__(Poset)._assemble(
+        tuple(members), tuple(map(tuple, ups)), tuple(downs), tuple(range(len(members)))
+    )
 
 
 def proper_product(*factors: Poset) -> Poset:

@@ -83,6 +83,22 @@ def test_homology_csv(capsys):
     assert out.strip() == "1,4,0"
 
 
+def test_homology_csv_refuses_torsion(capsys):
+    # CSV has no place for torsion; it used to print the Betti line alone
+    code, out, err = run(capsys, "homology", "pdiv", "3,3", "--csv", "--torsion")
+    assert code == 2
+    assert out == ""
+    assert "--csv prints only Betti numbers" in err
+
+
+@pytest.mark.parametrize("command", [["homology", "pdiv", "3,3"], ["table"]])
+def test_json_and_csv_are_mutually_exclusive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--json", "--csv"])
+    assert exc.value.code == 2
+    assert "--csv: not allowed with argument --json" in capsys.readouterr().err
+
+
 def _rp2_face_poset_text():
     """Poset file of the faces of the 6-vertex RP^2, with a bottom and a top."""
     rp2 = pd.SimplicialComplex(

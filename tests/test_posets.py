@@ -1,4 +1,5 @@
 from itertools import product as cartesian
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -260,19 +261,63 @@ def test_product_covers_match_reference_on_random_factors(drawn):
     _assert_matches(pd.proper_product(*factors), all_pairs_proper_product(*factors))
 
 
+# -- P(a) against the proper product of chains ----------------------------------
+
+
+def _candidate_covers(p):
+    # rule (a) pairs each y_k >= 2 with x_k = y_k - 1 and, in every other
+    # coordinate, an x_j below y_j (only 0 where y_j = 0)
+    return sum(
+        prod(max(yj, 1) for j, yj in enumerate(y) if j != k)
+        for y in p.labels
+        for k, yk in enumerate(y)
+        if yk >= 2
+    )
+
+
+def test_pdiv_matches_the_proper_product_of_chains(monkeypatch):
+    vecs = [vec for n in range(1, 5) for vec in cartesian(range(6), repeat=n)]
+    fields = ("labels", "upcovers", "downcovers", "bottom", "top", "_topo")
+    builders = (
+        pd.proper_divisibility_poset,
+        lambda vec: posets._product_poset([pd.chain(x) for x in vec]),
+    )
+    for vec in vecs + [(16, 16), (6, 6, 6), (2, 5000)]:
+        p, q = (build(vec) for build in builders)
+        assert [getattr(p, f) for f in fields] == [getattr(q, f) for f in fields], vec
+        # both refuse just below the larger of the two counts the guard bounds
+        need = max(len(q), _candidate_covers(q))
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", need - 1)
+        for build in builders:
+            with pytest.raises(pd.SizeGuardError):
+                build(vec)
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", need)
+        for build in builders:
+            assert len(build(vec)) == len(q), vec
+        monkeypatch.undo()
+
+
 def test_candidate_cover_guard_is_exact(monkeypatch):
-    # P(4, 4): rule (a) offers 2 * 2 * 7 candidates below the tuples other
-    # than the top and 2 * 4 below the top
-    monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", 36)
-    assert len(pd.proper_divisibility_poset((4, 4))) == 17
-    monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", 35)
-    with pytest.raises(pd.SizeGuardError, match="36 candidate covers"):
-        pd.proper_divisibility_poset((4, 4))
+    for vec, size, candidates in [
+        # rule (a) offers 2 * 2 * 7 candidates below the tuples other than
+        # the top and 2 * 4 below the top
+        ((4, 4), 17, 36),
+        # per coordinate: 3 * 3 below the top, 1 * 4 * 4 below the rest
+        ((3, 3, 3), 28, 75),
+        # coordinate 0: 1 * 4 below the top, 1 * 1 * 7 below the rest;
+        # coordinate 2: 3 * 1 below the top, 2 * 4 * 1 below the rest
+        ((3, 0, 4), 13, 4 + 7 + 3 + 8),
+    ]:
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", candidates)
+        assert len(pd.proper_divisibility_poset(vec)) == size
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", candidates - 1)
+        with pytest.raises(pd.SizeGuardError, match=f" {candidates} candidate covers"):
+            pd.proper_divisibility_poset(vec)
 
 
 def test_guard_refuses_before_enumerating():
     # the long coordinate's down-sets alone pass the guard
-    with pytest.raises(pd.SizeGuardError, match="more than 1000000 candidate covers"):
+    with pytest.raises(pd.SizeGuardError, match="product would have 4513496 candidate covers"):
         pd.proper_divisibility_poset((3, 3000))
     # where no cover pairs with a down-set, long chains cost nothing extra
     assert len(pd.proper_divisibility_poset((2, 5000))) == 10001
