@@ -32,45 +32,48 @@ def face_guard_default() -> int:
 
 
 class SimplicialComplex:
-    """Vertex labels plus facets given as sorted tuples of vertex indices."""
+    """Vertex labels plus facets given as sorted tuples of vertex indices.
+
+    ``SimplicialComplex(vertices, facets)`` checks facets from outside: it
+    sorts and de-duplicates them and refuses empty facets, out-of-range
+    vertices, facets inside others and vertices in no facet.
+    ``order_complex`` stores its maximal chains without these checks.
+    """
 
     __slots__ = ("vertices", "facets")
 
-    def __init__(self, vertices, facets, validate=True):
-        self.vertices = tuple(vertices)
-        n = len(self.vertices)
-        normalized = sorted(set(tuple(sorted(set(f))) for f in facets))
-        for f in normalized:
+    def __init__(self, vertices, facets):
+        vertices = tuple(vertices)
+        n = len(vertices)
+        normalized = tuple(sorted(set(tuple(sorted(set(f))) for f in facets)))
+        by_vertex = {}
+        for idx, f in enumerate(normalized):
             if not f:
                 raise ValueError("facets must be nonempty")
             if f[0] < 0 or f[-1] >= n:
                 raise ValueError(f"facet {f} has out-of-range vertices")
-        self.facets = tuple(normalized)
-        if validate:
-            self._check_antichain()
-            covered = set()
-            for f in self.facets:
-                covered.update(f)
-            if len(covered) != n:
-                missing = [v for v in range(n) if v not in covered]
-                shown = ", ".join(map(str, missing[:5]))
-                if len(missing) > 5:
-                    shown += f", ... ({len(missing)} in all)"
-                raise ValueError(f"vertices [{shown}] lie in no facet")
-
-    def _check_antichain(self):
-        by_vertex = {}
-        for idx, f in enumerate(self.facets):
             for v in f:
                 by_vertex.setdefault(v, []).append(idx)
-        sets = [set(f) for f in self.facets]
-        for idx, f in enumerate(self.facets):
+        # a facet inside another shares its rarest vertex with it
+        sets = [set(f) for f in normalized]
+        for idx, f in enumerate(normalized):
             v = min(f, key=lambda x: len(by_vertex[x]))
             for other in by_vertex[v]:
                 if other != idx and sets[idx] <= sets[other]:
-                    raise ValueError(
-                        f"facet {self.facets[idx]} is contained in {self.facets[other]}"
-                    )
+                    raise ValueError(f"facet {f} is contained in {normalized[other]}")
+        if len(by_vertex) != n:
+            missing = [v for v in range(n) if v not in by_vertex]
+            shown = ", ".join(map(str, missing[:5]))
+            if len(missing) > 5:
+                shown += f", ... ({len(missing)} in all)"
+            raise ValueError(f"vertices [{shown}] lie in no facet")
+        self._assemble(vertices, normalized)
+
+    def _assemble(self, vertices, facets):
+        # facets: sorted tuples, in range, pairwise incomparable, covering every
+        # vertex and listed in lexicographic order; they are stored as given
+        self.vertices, self.facets = vertices, facets
+        return self
 
     # -- queries ---------------------------------------------------------
 
@@ -175,13 +178,13 @@ def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of a bounded poset with bottom and top removed.
 
     Vertices are the open poset's elements (labels preserved); facets are its
-    inclusion-maximal chains.  Returns the empty complex when nothing is left.
+    maximal chains, distinct and pairwise incomparable, stored unchecked but
+    sorted, since chains of duals and parsed posets may run down the index
+    order.  Returns the empty complex when nothing is left.
     """
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
     open_poset = p.open_part()
-    if len(open_poset) == 0:
-        return SimplicialComplex((), (), validate=False)
-    facets = open_poset.maximal_chains(max_chains=face_guard_default())
-    # maximal chains are pairwise incomparable under inclusion by maximality
-    return SimplicialComplex(open_poset.labels, facets, validate=False)
+    chains = open_poset.maximal_chains(max_chains=face_guard_default())
+    facets = tuple(sorted(tuple(sorted(c)) for c in chains))
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(open_poset.labels, facets)

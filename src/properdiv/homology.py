@@ -59,6 +59,7 @@ from math import gcd
 from operator import or_
 
 from .complexes import SimplicialComplex, _close_faces
+from .posets import _bits
 
 
 # -- sparse phase ---------------------------------------------------------
@@ -236,17 +237,6 @@ def _bitmask(indices: list[int]) -> int:
     for i in indices:
         marks[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(marks, "little")
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    digits = format(mask, "b")[::-1]
-    found = []
-    i = digits.find("1")
-    while i >= 0:
-        found.append(i)
-        i = digits.find("1", i + 1)
-    return found
 
 
 def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]]:

@@ -75,10 +75,11 @@ class Poset:
     and ``top`` are detected automatically (present iff the poset has a
     unique minimal / maximal element).
 
-    ``Poset(labels, upcovers)`` takes covers from outside: it sorts and
-    de-duplicates them and refuses out-of-range targets, cycles and covers
-    implied by longer paths.  The module's constructors and ``open_part``
-    skip that step, since their rules yield the sorted transitive reduction
+    ``Poset(labels, upcovers)`` takes labels and covers from outside: it
+    refuses repeated labels, sorts and de-duplicates the covers and refuses
+    out-of-range targets, cycles and covers implied by longer paths.  The
+    module's constructors and ``open_part`` skip that step, since their
+    rules yield distinct labels and the sorted transitive reduction
     directly; ``dual()`` swaps fields and shares them with its original.
     """
 
@@ -97,6 +98,9 @@ class Poset:
     def __init__(self, labels, upcovers):
         labels = tuple(labels)
         n = len(labels)
+        if len(set(labels)) != n:
+            repeated = next(lab for lab, k in Counter(labels).items() if k > 1)
+            raise ValueError(f"label {repeated!r} is given to more than one element")
         ups = tuple(tuple(sorted(set(c))) for c in upcovers)
         if len(ups) != n:
             raise ValueError("labels and upcovers must have equal length")
@@ -483,12 +487,14 @@ class Poset:
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The positions of the set bits of ``mask``, ascending."""
+    digits = format(mask, "b")[::-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
 
 
 def _format_label(lab) -> str:

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random bounded posets."""
+"""Hypothesis strategies for random bounded posets, and a fixed set of small ones."""
 
 from hypothesis import strategies as st
 
@@ -41,3 +41,16 @@ def bounded_posets(draw, max_mid: int = 5):
         ]
         ups.append(covers)
     return pd.Poset(list(range(n)) + ["bot", "top"], ups)
+
+
+def small_factors():
+    """Chains, Boolean lattices and a P(a), each with its dual: factors for products."""
+    base = [
+        pd.chain(0),
+        pd.chain(1),
+        pd.chain(3),
+        pd.boolean_lattice(2),
+        pd.boolean_lattice(3),
+        pd.proper_divisibility_poset((2, 3)),
+    ]
+    return base + [p.dual() for p in base]

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import properdiv as pd
 
@@ -35,3 +37,33 @@ def test_no_public_callable_takes_a_guard_keyword():
         if param.startswith("max_")
     }
     assert found == _GUARD_KEYWORDS_ALLOWED
+
+
+def _library_tour():
+    """Run the README's library tour; map each bare expression to its value."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if isinstance(stmt, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    return namespace, values
+
+
+def test_readme_library_tour_gives_its_commented_values():
+    namespace, values = _library_tour()
+    p = namespace["p"]
+    assert (len(p), p.labels[p.bottom], p.labels[p.top]) == (17, (0, 0), (4, 4))
+    assert values["p.mobius()"] == -4
+    assert sorted(p.labels[i] for i in values["p.atoms()"]) == [(0, 1), (1, 0), (1, 1)]
+    assert values["cx.f_vector()"] == (15, 33, 15)
+    assert values["pd.homology(cx, reduced=True).betti"] == (0, 4, 0)
+    assert values["pd.search_rao(p)"] is None
+    assert values["pd.verify_rao(p.dual(), cert)"] == (True, None)
+    assert values["cert.ordering[0]"] == (3, 3)
+    assert values["pd.betti_from_falling_chains(4, 4)"] == (0, 4, 0)
+    assert values["pd.formulas.betti_rank(4, 4, 1)"] == 4
+    assert values["pd.homology(pd.order_complex(prod)).betti"] == (15, 30, 40, 30, 13)

@@ -201,6 +201,14 @@ def test_homology_file_with_repeated_index(capsys, tmp_path):
     assert "given twice" in err
 
 
+def test_rao_search_refuses_repeated_labels(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("elements: 4\n0 b\n1 x\n2 x\n3 t\ncovers:\n0 < 1\n0 < 2\n1 < 3\n2 < 3\n")
+    code, out, err = run(capsys, "rao", "--search", "file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: label 'x' is given to more than one element\n"
+
+
 def test_malformed_poset_files_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     for text in (

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ import properdiv as pd
 from properdiv.complexes import SimplicialComplex, face_guard_default
 
 from oracles import count_chains_by_length
+from strategies import bounded_posets, small_factors
 
 
 def _pdiv_complex(vec):
@@ -46,6 +48,37 @@ def test_order_complex_empty_cases():
         assert cx.f_vector() == ()
         assert cx.reduced_euler_char() == -1
         assert cx.is_pure()
+
+
+def _assert_order_complex_matches_the_checking_constructor(p):
+    # order_complex stores maximal chains unchecked; chains of duals and of
+    # parsed posets run down the index order, so each is sorted first
+    for q in (p, p.dual()):
+        open_poset = q.open_part()
+        checked = SimplicialComplex(open_poset.labels, open_poset.maximal_chains())
+        trusted = pd.order_complex(q)
+        assert trusted.vertices == checked.vertices
+        assert trusted.facets == checked.facets
+
+
+def test_order_complex_matches_the_checking_constructor():
+    built = [pd.chain(k) for k in range(5)] + [pd.boolean_lattice(n) for n in range(4)]
+    built += [
+        pd.proper_divisibility_poset(vec)
+        for n in (1, 2, 3)
+        for vec in cartesian(range(5), repeat=n)
+    ]
+    factors = small_factors()
+    built += [pd.proper_product(p, q) for p in factors for q in factors]
+    built.append(pd.Poset.from_text(pd.proper_divisibility_poset((3, 2, 2)).dual().to_text()))
+    for p in built:
+        _assert_order_complex_matches_the_checking_constructor(p)
+
+
+@given(bounded_posets())
+@settings(max_examples=100, deadline=None)
+def test_order_complex_of_random_posets_matches_the_checking_constructor(p):
+    _assert_order_complex_matches_the_checking_constructor(p)
 
 
 def test_order_complex_requires_bounded():
@@ -150,7 +183,7 @@ def test_face_guard_trips_partway_through_a_level(monkeypatch):
     # 5,000 disjoint 7-simplices: their ridges alone, 40,000 tuples of 7,
     # would take several MB; the guard is crossed after a few facets
     facets = [tuple(range(8 * i, 8 * i + 8)) for i in range(5000)]
-    cx = SimplicialComplex(range(40000), facets, validate=False)
+    cx = SimplicialComplex(range(40000), facets)
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", str(len(facets) + 20))
     tracemalloc.start()
     try:

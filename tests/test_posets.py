@@ -2,7 +2,7 @@ from itertools import product as cartesian
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import properdiv as pd
@@ -15,7 +15,7 @@ from oracles import (
     closure_from_covers,
     hall_mobius,
 )
-from strategies import bounded_posets
+from strategies import bounded_posets, small_factors
 
 
 # -- proper divisibility ------------------------------------------------------
@@ -224,20 +224,8 @@ def test_pdiv_covers_match_all_pairs_reference():
         )
 
 
-def _small_factors():
-    base = [
-        pd.chain(0),
-        pd.chain(1),
-        pd.chain(3),
-        pd.boolean_lattice(2),
-        pd.boolean_lattice(3),
-        pd.proper_divisibility_poset((2, 3)),
-    ]
-    return base + [p.dual() for p in base]
-
-
 def test_product_covers_match_all_pairs_reference():
-    factors = _small_factors()
+    factors = small_factors()
     for p in factors:
         for q in factors:
             _assert_matches(pd.proper_product(p, q), all_pairs_proper_product(p, q))
@@ -357,7 +345,7 @@ def test_rule_built_posets_match_the_checking_constructor():
         for n in (1, 2, 3)
         for vec in cartesian(range(5), repeat=n)
     ]
-    factors = _small_factors()
+    factors = small_factors()
     built += [pd.proper_product(p, q) for p in factors for q in factors]
     for p in built:
         _assert_assembled_family(p)
@@ -552,6 +540,13 @@ def test_mobius_oracles_agree_on_random_posets(p):
     assert mu == pd.order_complex(p).reduced_euler_char()
 
 
+@given(st.integers(0, (1 << 3000) - 1))
+@example(0)
+@settings(max_examples=200)
+def test_bits_lists_the_set_bits_ascending(mask):
+    assert posets._bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # -- text format -------------------------------------------------------------------
 
 
@@ -600,6 +595,16 @@ def test_constructor_rejects_cover_targets_out_of_range():
     for target in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
             pd.Poset(range(2), [[target], []])
+
+
+def test_constructor_rejects_repeated_labels():
+    # search_rao used to return the ordering ["x", "x"] here, which
+    # verify_rao refused as no permutation of the atoms
+    text = "elements: 4\n0 b\n1 x\n2 x\n3 t\ncovers:\n0 < 1\n0 < 2\n1 < 3\n2 < 3\n"
+    with pytest.raises(ValueError, match="^label 'x' is given to more than one element$"):
+        pd.Poset.from_text(text)
+    with pytest.raises(ValueError, match="^label 1 is given"):
+        pd.Poset([0, 1, 1], [[1, 2], [], []])
 
 
 def test_cycle_rejected():
