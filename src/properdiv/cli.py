@@ -1,13 +1,15 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 size guard tripped.
+3 size guard tripped.  A command whose reader closes stdout before the
+command is done stops there and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -356,7 +358,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = 0  # what a command stopped by a closed stdout exits with
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has all it wanted; point stdout at the null device so
+        # that the interpreter's flush at exit writes nowhere instead of failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,10 @@ the dual of P(a, b) falling iff it never steps onto the componentwise
 decrement except at the last step and never passes through a border
 element (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 in its interior.
 
-Both the dual-lex certificate and the falling chains walk P(a) by index.
-P(a) is indexed lexicographically, so the dual-lex order of an interval's
-atoms is its down-covers in descending index order, and the componentwise
-decrement of an element other than the bottom is its last down-cover.
+The dual-lex certificate reads only covers: it orders each element's
+down-covers by descending index, which on P(a), indexed lexicographically,
+is dual-lex order.  There an element's last down-cover is its
+componentwise decrement, which the falling chains read.
 """
 
 from __future__ import annotations
@@ -303,24 +303,24 @@ def dual_lex_certificate(a) -> RaoCertificate:
 
     Dual-lex compares descending: c precedes d iff at the first differing
     coordinate c is larger, so every interval starts with the componentwise
-    decrement of its bottom.  Sub-certificates are shared between intervals
+    decrement of its bottom; P(a) is indexed lexicographically, so this is
+    descending index order.  Sub-certificates are shared between intervals
     with the same bottom vector.
     """
     return _dual_lex_certificate(proper_divisibility_poset(a))
 
 
 def _dual_lex_certificate(poset: Poset) -> RaoCertificate:
-    """``dual_lex_certificate`` for P(a) given as ``proper_divisibility_poset(a)``."""
-    down = poset.downcovers
-    labels = poset.labels
-    certs: list[RaoCertificate] = []
-    # index order is lexicographic, a linear extension of P(a): every
-    # down-cover's certificate is built before it is needed, and read
-    # backwards an element's down-covers are in dual-lex order
-    for vec, covers in zip(labels, down):
-        order = covers[::-1]
-        children = None if all(x <= 1 for x in vec) else tuple(certs[k] for k in order)
-        certs.append(RaoCertificate(tuple(labels[k] for k in order), children))
+    """Certificate for ``poset.dual()``: down-covers in descending index order."""
+    if not poset.is_bounded:
+        raise ValueError("poset must be bounded")
+    down, labels = poset.downcovers, poset.labels
+    short = ((), (poset.bottom,))  # the down-covers of the bottom and of an atom
+    certs: list = [None] * len(poset)
+    for x in poset._topo:
+        order = down[x][::-1]
+        children = None if order in short else tuple(certs[k] for k in order)
+        certs[x] = RaoCertificate(tuple(labels[k] for k in order), children)
     return certs[poset.top]
 
 
@@ -361,7 +361,9 @@ def falling_chains(
     (0, 0).  That also keeps border elements out: the only down-cover of
     (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 is its decrement, which is
     not (0, 0).  Chains come out ordered lexicographically by their vector
-    sequences.
+    sequences.  With ``length`` the walk descends at most ``length`` steps
+    and keeps the chains of exactly that many.  The chain guard bounds every
+    chain the walk completes, kept or not.
     """
     if not (2 <= a <= b):
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
@@ -369,6 +371,7 @@ def falling_chains(
     down = poset.downcovers
     labels = poset.labels
     out: list[FallingChain] = []
+    walked = 0  # chains reaching the bottom, kept or not: what the guard bounds
     # depth-first over indices, one down-cover iterator per path element;
     # an element's last down-cover is its decrement (see the module docstring)
     path = [poset.top]
@@ -379,11 +382,12 @@ def falling_chains(
             stack.pop()
             path.pop()
         elif k == poset.bottom:
+            walked += 1
+            if walked > posets.DEFAULT_CHAIN_GUARD:
+                raise SizeGuardError(f"more than {posets.DEFAULT_CHAIN_GUARD} falling chains")
             if length is None or len(path) == length:
-                if len(out) >= posets.DEFAULT_CHAIN_GUARD:
-                    raise SizeGuardError(f"more than {posets.DEFAULT_CHAIN_GUARD} falling chains")
                 out.append(FallingChain(tuple(labels[i] for i in path) + (labels[k],)))
-        elif k != down[path[-1]][-1]:
+        elif k != down[path[-1]][-1] and (length is None or len(path) < length):
             path.append(k)
             stack.append(iter(down[k]))
     return out

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,9 +253,36 @@ def test_falling_listing_and_json(capsys):
     ]
 
 
+def test_falling_length_bounds_the_walk(capsys):
+    # the walk stops at the asked length instead of walking every chain
+    code, out, _ = run(capsys, "falling", "20", "20", "--count-only", "--length", "3")
+    assert (code, out) == (0, "length 3: 4\n")
+
+
 def test_falling_usage_error(capsys):
     code, _, err = run(capsys, "falling", "5", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["rao", "--dual-lex", "8,8"], ["falling", "9", "9"]], ids=" ".join
+)
+def test_closed_stdout_exits_quietly(argv):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the command writes anything
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "properdiv.cli", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # -- rao ------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 
 import properdiv as pd
 from properdiv import posets
-from properdiv.shellability import RaoCertificate
+from properdiv.shellability import RaoCertificate, _dual_lex_certificate
 
 from oracles import falling_chains_by_definition
-from strategies import bounded_posets
+from strategies import bounded_posets, small_factors
 
 
 def _dual_pdiv(vec):
@@ -198,6 +198,51 @@ def test_dual_lex_certificate_matches_the_sorting_rule():
                     stack.extend(zip(node.ordering, node.children))
 
 
+B, C = pd.boolean_lattice, pd.chain
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["C2xpC3", "C2xpB3", "B2xpC3", "B2xpB2", "B2xpB3", "B2xpB4", "B2xpB7", "B2xpB2xpB2", "B4"],
+)
+def test_the_builder_certifies_the_duals_of_products(name):
+    factors = [{"B": B, "C": C}[f[0]](int(f[1:])) for f in name.split("xp")]
+    p = pd.proper_product(*factors) if len(factors) > 1 else factors[0]
+    assert pd.verify_rao(p.dual(), _dual_lex_certificate(p)) == (True, None)
+
+
+def test_the_builder_fails_on_b3_times_b3():
+    p = pd.proper_product(B(3), B(3))
+    assert pd.verify_rao(p.dual(), _dual_lex_certificate(p)) == (
+        False,
+        "condition (i): atoms [(0, 4), (2, 0), (2, 4), (4, 0), (4, 4)] must come "
+        "first in the interval above (6, 5)",
+    )
+
+
+def _judge_built_certificate(p):
+    # verify_rao raises ValueError on a certificate of the wrong shape
+    for q in (p, p.dual()):
+        ok, why = pd.verify_rao(q.dual(), _dual_lex_certificate(q))
+        assert ok == (why is None)
+
+
+@given(bounded_posets())
+@settings(max_examples=60, deadline=None)
+def test_the_builder_is_well_formed_on_random_posets(p):
+    _judge_built_certificate(p)
+
+
+def test_the_builder_is_well_formed_on_products_of_small_factors():
+    for f, g in cartesian(small_factors(), repeat=2):
+        _judge_built_certificate(pd.proper_product(f, g))
+
+
+def test_the_builder_refuses_an_unbounded_poset():
+    with pytest.raises(ValueError, match="bounded"):
+        _dual_lex_certificate(pd.Poset(["a", "b"], [[], []]))
+
+
 def test_duality_asymmetry_witness():
     assert pd.search_rao(pd.proper_divisibility_poset((4, 4))) is None
     assert pd.search_rao(_dual_pdiv((4, 4))) is not None
@@ -263,7 +308,7 @@ def test_falling_chains_match_the_definition():
     for a in range(2, 9):
         for b in range(a, 9):
             dual = pd.proper_divisibility_poset((a, b)).dual()
-            for length in (None, 2, 3):
+            for length in (None, 2, 3, 4):
                 want = falling_chains_by_definition(dual, length)
                 got = [c.elements for c in pd.falling_chains(a, b, length)]
                 assert got == want, (a, b, length)
@@ -283,6 +328,15 @@ def test_falling_chain_guard_and_preconditions(monkeypatch):
     monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 3)
     with pytest.raises(pd.SizeGuardError):
         pd.falling_chains(6, 9)
+
+
+def test_falling_chain_guard_counts_every_chain_the_walk_completes(monkeypatch):
+    # the dual of P(5, 5) has 4 falling chains of length 3 and 4 of length 4
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 8)
+    assert len(pd.falling_chains(5, 5, length=4)) == 4
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 7)
+    with pytest.raises(pd.SizeGuardError):
+        pd.falling_chains(5, 5, length=4)
 
 
 def test_check_final_increments_examples():
