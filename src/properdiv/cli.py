@@ -27,6 +27,7 @@ from .posets import (
 )
 from .shellability import (
     _dual_lex_certificate,
+    _falling_chain_counts,
     betti_from_falling_chains,
     falling_chains,
     search_rao,
@@ -168,17 +169,20 @@ def cmd_table(args) -> int:
 
 
 def cmd_falling(args) -> int:
-    chains = falling_chains(args.a, args.b, length=args.length)
     if args.count_only:
-        histogram: dict[int, int] = {}
-        for c in chains:
-            histogram[c.length] = histogram.get(c.length, 0) + 1
+        # counted per element, without walking a chain
+        histogram = {
+            k: c
+            for k, c in enumerate(_falling_chain_counts(args.a, args.b))
+            if c and args.length in (None, k)
+        }
         if args.json:
-            print(json.dumps({str(k): v for k, v in sorted(histogram.items())}))
+            print(json.dumps({str(k): v for k, v in histogram.items()}))
         else:
-            for k in sorted(histogram):
-                print(f"length {k}: {histogram[k]}")
+            for k, c in histogram.items():
+                print(f"length {k}: {c}")
         return 0
+    chains = falling_chains(args.a, args.b, length=args.length)
     if args.json:
         print(json.dumps([c.to_json_list() for c in chains]))
     else:

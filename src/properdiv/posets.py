@@ -160,15 +160,21 @@ class Poset:
         return tuple(order)
 
     def _check_reduced(self):
-        # a cover i -> j is redundant iff it is implied by a path of length >= 2
+        # a cover i -> j is redundant iff it is implied by a path of length >= 2,
+        # that is iff j lies strictly above another cover k of i; the pair is
+        # looked for only once the union of those strict up-sets meets a cover
         above = self.above
         for i, ups in enumerate(self.upcovers):
-            for j in ups:
-                for k in ups:
-                    if k != j and (above[k] >> j) & 1:
-                        raise ValueError(
-                            f"cover {i} -> {j} is implied by {i} -> {k} -> ... -> {j}"
-                        )
+            reach = 0
+            for k in ups:
+                reach |= above[k] ^ (1 << k)
+            if reach & sum(map((1).__lshift__, ups)):
+                for j in ups:
+                    for k in ups:
+                        if k != j and (above[k] >> j) & 1:
+                            raise ValueError(
+                                f"cover {i} -> {j} is implied by {i} -> {k} -> ... -> {j}"
+                            )
 
     # -- order queries ---------------------------------------------------
 
@@ -343,6 +349,8 @@ class Poset:
 
         Backtracking over elements ordered by rarest refined color first,
         on an explicit stack of candidate iterators, one per placed element.
+        The isomorphism guard bounds the elements of either poset, and the
+        chain guard the placements the search makes, undone ones included.
         """
         if len(self) > DEFAULT_ISO_GUARD or len(other) > DEFAULT_ISO_GUARD:
             raise SizeGuardError(f"isomorphism guard is {DEFAULT_ISO_GUARD} elements")
@@ -395,6 +403,7 @@ class Poset:
 
         if not n:
             return []
+        placed = 0
         stack = [candidates(order[0])]
         while stack:
             i = order[len(stack) - 1]
@@ -405,6 +414,11 @@ class Poset:
             if j is None:
                 stack.pop()
                 continue
+            placed += 1
+            if placed > DEFAULT_CHAIN_GUARD:
+                raise SizeGuardError(
+                    f"isomorphism search made more than {DEFAULT_CHAIN_GUARD} placements"
+                )
             image[i] = j
             inverse[j] = i
             if len(stack) == n:

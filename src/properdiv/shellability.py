@@ -23,12 +23,21 @@ The dual-lex certificate reads only covers: it orders each element's
 down-covers by descending index, which on P(a), indexed lexicographically,
 is dual-lex order.  There an element's last down-cover is its
 componentwise decrement, which the falling chains read.
+
+Falling chains are counted without listing them.  The walk refuses a step
+from x onto k iff k is x's decrement and not (0, 0), a test of the step's
+two ends alone, so the falling chains are exactly the paths from the top
+to (0, 0) along the allowed steps.  The number of such paths with l steps
+from x is the sum, over the allowed steps x -> k, of those with l - 1
+steps from k; filled in for every element in a linear extension from the
+bottom up, in exact integers, this is the count the walk would reach.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import posets
 from .errors import SizeGuardError
@@ -125,7 +134,7 @@ class _IntervalContext:
         self.strict_above = [
             p.above[i] & ~(1 << i) for i in range(len(p))
         ]
-        self.up_mask = [sum(1 << q for q in ups) for ups in p.upcovers]
+        self.up_mask = [sum(map((1).__lshift__, ups)) for ups in p.upcovers]
 
     def is_short(self, x: int) -> bool:
         # the interval [x, top] has length <= 1 iff it has <= 2 elements
@@ -156,72 +165,81 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     """
     ctx = _IntervalContext(p)
     index = {lab: i for i, lab in enumerate(p.labels)}
-
-    def label_of(x):
-        return p.labels[x]
-
-    def check(x: int, node: RaoCertificate, required_first: int):
-        # yields each child interval to check and is sent its result;
-        # ``required_first`` is the bitmask of the atoms that must lead
-        atoms = ctx.up[x]
+    labels, up, above, strict_above, up_mask = (
+        p.labels, ctx.up, ctx.above, ctx.strict_above, ctx.up_mask
+    )
+    # depth-first on an explicit stack of frames [memo key, x, children,
+    # ordering, position, prefix mask], one per open interval: certificates
+    # nest once per step of a maximal chain, deeper than the interpreter's
+    # recursion limit.  An interval is keyed by x, the bitmask of the atoms
+    # that must lead and the certificate node; its frame's position is the
+    # next atom to check and its prefix mask the earlier atoms' strict up-sets.
+    memo: dict = {}
+    stack: list = []
+    x, node, required = p.bottom, cert, 0
+    while True:
+        # enter the interval above x, certified by node
+        key = (x, required, id(node))
         try:
             ordering = tuple(map(index.__getitem__, node.ordering))
         except KeyError as exc:
             raise ValueError(f"unknown atom label in certificate: {exc}") from None
-        if sorted(ordering) != list(atoms):
+        if sorted(ordering) != list(up[x]):
             raise ValueError(
-                f"ordering at interval above {label_of(x)!r} is not a "
+                f"ordering at interval above {labels[x]!r} is not a "
                 f"permutation of its atoms"
             )
-        if sum(1 << i for i in ordering[: required_first.bit_count()]) != required_first:
-            return (
+        if sum(map((1).__lshift__, ordering[: required.bit_count()])) != required:
+            result = memo[key] = (
                 False,
-                f"condition (i): atoms {sorted(map(label_of, posets._bits(required_first)))} "
-                f"must come first in the interval above {label_of(x)!r}",
+                f"condition (i): atoms {sorted(map(labels.__getitem__, posets._bits(required)))} "
+                f"must come first in the interval above {labels[x]!r}",
             )
-        if ctx.is_short(x):
+        elif above[x].bit_count() <= 2:  # the interval has length <= 1
             if node.children is not None:
                 raise ValueError(
-                    f"interval above {label_of(x)!r} has length <= 1 but the "
+                    f"interval above {labels[x]!r} has length <= 1 but the "
                     f"certificate carries children"
                 )
-            return True, None
-        if node.children is None or len(node.children) != len(ordering):
+            result = memo[key] = (True, None)
+        elif node.children is None or len(node.children) != len(ordering):
             raise ValueError(
-                f"certificate above {label_of(x)!r} must carry one child per atom"
+                f"certificate above {labels[x]!r} must carry one child per atom"
             )
-        prefix_mask = 0
-        for j, atom in enumerate(ordering):
-            if not ctx.condition_ii_ok(atom, prefix_mask):
-                return (
+        else:
+            stack.append([key, x, node.children, ordering, 0, 0])
+        # advance the innermost open interval; ``result`` is that of the
+        # child it checked last, at positions past 0
+        while stack:
+            frame = stack[-1]
+            key, x, children, ordering, j, prefix_mask = frame
+            if j:
+                if not result[0]:
+                    stack.pop()
+                    memo[key] = result
+                    continue
+                prefix_mask |= strict_above[ordering[j - 1]]
+            if j == len(ordering):
+                stack.pop()
+                result = memo[key] = (True, None)
+                continue
+            atom = ordering[j]
+            # condition (ii) is checked only where an earlier atom's strict up-set meets atom's
+            if strict_above[atom] & prefix_mask and not ctx.condition_ii_ok(atom, prefix_mask):
+                stack.pop()
+                result = memo[key] = (
                     False,
-                    f"condition (ii) fails for atom {label_of(atom)!r} at "
-                    f"position {j} in the interval above {label_of(x)!r}",
+                    f"condition (ii) fails for atom {labels[atom]!r} at "
+                    f"position {j} in the interval above {labels[x]!r}",
                 )
-            ok, why = yield atom, node.children[j], ctx.f_atoms(atom, prefix_mask)
-            if not ok:
-                return False, why
-            prefix_mask |= ctx.strict_above[atom]
-        return True, None
-
-    # depth-first on an explicit stack: certificates nest once per step of a
-    # maximal chain, deeper than the interpreter's recursion limit
-    memo: dict = {}
-    stack = [((p.bottom, 0, id(cert)), check(p.bottom, cert, 0))]
-    result = None
-    while stack:
-        key, walk = stack[-1]
-        try:
-            x, node, required_first = walk.send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = memo[key] = done.value
-            continue
-        key = (x, required_first, id(node))
-        result = memo.get(key)
-        if result is None:
-            stack.append((key, check(x, node, required_first)))
-    return result
+                continue
+            frame[4], frame[5] = j + 1, prefix_mask
+            x, node, required = atom, children[j], up_mask[atom] & prefix_mask
+            result = memo.get((x, required, id(node)))
+            if result is None:
+                break  # enter the child
+        else:
+            return result
 
 
 def search_rao(p: Poset):
@@ -319,8 +337,8 @@ def _dual_lex_certificate(poset: Poset) -> RaoCertificate:
     certs: list = [None] * len(poset)
     for x in poset._topo:
         order = down[x][::-1]
-        children = None if order in short else tuple(certs[k] for k in order)
-        certs[x] = RaoCertificate(tuple(labels[k] for k in order), children)
+        children = None if order in short else tuple(map(certs.__getitem__, order))
+        certs[x] = RaoCertificate(tuple(map(labels.__getitem__, order)), children)
     return certs[poset.top]
 
 
@@ -393,12 +411,34 @@ def falling_chains(
     return out
 
 
+def _falling_chain_counts(a: int, b: int) -> list[int]:
+    """Entry k: the number of falling chains of the dual of P(a, b) with k steps.
+
+    Counted per element (see the module docstring), so no chain is built
+    and the chain guard does not apply.
+    """
+    if not (2 <= a <= b):
+        raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
+    poset = proper_divisibility_poset((a, b))
+    bottom = poset.bottom
+    counts: list = [None] * len(poset)
+    for x in poset._topo:
+        down = poset.downcovers[x]
+        if x == bottom:
+            counts[x] = [1]
+            continue
+        # every down-cover but the decrement, unless the decrement is (0, 0)
+        steps = down if down[-1] == bottom else down[:-1]
+        counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
+    return counts[poset.top]
+
+
 def betti_from_falling_chains(a: int, b: int) -> tuple[int, ...]:
     """Reduced Betti ranks as falling-chain counts: degree i counts length i + 2."""
     counts = [0] * max(a - 1, 1)
-    for c in falling_chains(a, b):
-        i = c.length - 2
-        counts[i] += 1
+    for length, c in enumerate(_falling_chain_counts(a, b)):
+        if c:
+            counts[length - 2] += c
     return tuple(counts)
 
 

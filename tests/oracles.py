@@ -5,12 +5,17 @@ comes from chain counting, invariant factors from gcds of minors, ranks
 from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
 proper products from comparing all pairs, falling chains from filtering
-every maximal chain by their definition.
+every maximal chain by their definition.  The one exception is
+``verify_rao_by_generators``, the verifier's earlier form with one
+generator per interval, kept as the reference for its frame walk.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from properdiv import posets
+from properdiv.shellability import _IntervalContext
 
 
 def hall_mobius(poset) -> int:
@@ -221,3 +226,71 @@ def falling_chains_by_definition(dual, length=None):
             continue
         out.append(elems)
     return out
+
+
+def verify_rao_by_generators(p, cert):
+    """``verify_rao`` as one generator per interval, each sent its children's results."""
+    ctx = _IntervalContext(p)
+    index = {lab: i for i, lab in enumerate(p.labels)}
+
+    def label_of(x):
+        return p.labels[x]
+
+    def check(x, node, required_first):
+        atoms = ctx.up[x]
+        try:
+            ordering = tuple(map(index.__getitem__, node.ordering))
+        except KeyError as exc:
+            raise ValueError(f"unknown atom label in certificate: {exc}") from None
+        if sorted(ordering) != list(atoms):
+            raise ValueError(
+                f"ordering at interval above {label_of(x)!r} is not a "
+                f"permutation of its atoms"
+            )
+        if sum(1 << i for i in ordering[: required_first.bit_count()]) != required_first:
+            return (
+                False,
+                f"condition (i): atoms {sorted(map(label_of, posets._bits(required_first)))} "
+                f"must come first in the interval above {label_of(x)!r}",
+            )
+        if ctx.is_short(x):
+            if node.children is not None:
+                raise ValueError(
+                    f"interval above {label_of(x)!r} has length <= 1 but the "
+                    f"certificate carries children"
+                )
+            return True, None
+        if node.children is None or len(node.children) != len(ordering):
+            raise ValueError(
+                f"certificate above {label_of(x)!r} must carry one child per atom"
+            )
+        prefix_mask = 0
+        for j, atom in enumerate(ordering):
+            if not ctx.condition_ii_ok(atom, prefix_mask):
+                return (
+                    False,
+                    f"condition (ii) fails for atom {label_of(atom)!r} at "
+                    f"position {j} in the interval above {label_of(x)!r}",
+                )
+            ok, why = yield atom, node.children[j], ctx.f_atoms(atom, prefix_mask)
+            if not ok:
+                return False, why
+            prefix_mask |= ctx.strict_above[atom]
+        return True, None
+
+    memo = {}
+    stack = [((p.bottom, 0, id(cert)), check(p.bottom, cert, 0))]
+    result = None
+    while stack:
+        key, walk = stack[-1]
+        try:
+            x, node, required_first = walk.send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = memo[key] = done.value
+            continue
+        key = (x, required_first, id(node))
+        result = memo.get(key)
+        if result is None:
+            stack.append((key, check(x, node, required_first)))
+    return result

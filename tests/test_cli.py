@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,33 @@ def test_falling_length_bounds_the_walk(capsys):
     # the walk stops at the asked length instead of walking every chain
     code, out, _ = run(capsys, "falling", "20", "20", "--count-only", "--length", "3")
     assert (code, out) == (0, "length 3: 4\n")
+
+
+def test_falling_counts_need_no_walk(capsys, monkeypatch):
+    want = "".join(
+        f"length {i + 2}: {c}\n" for i in range(19) if (c := pd.formulas.betti_rank(20, 20, i))
+    )
+    assert run(capsys, "falling", "20", "20", "--count-only")[:2] == (0, want)
+    # the chain guard bounds listings only
+    monkeypatch.setattr(pd.posets, "DEFAULT_CHAIN_GUARD", 100)
+    assert run(capsys, "falling", "20", "20", "--count-only")[:2] == (0, want)
+    assert run(capsys, "falling", "20", "20", "--count-only", "--length", "9")[:2] == (
+        0,
+        "length 9: 5361216\n",
+    )
+    code, out, err = run(capsys, "falling", "20", "20", "--length", "20")
+    assert (code, out) == (3, "")
+    assert err == "error: more than 100 falling chains\n"
+
+
+def test_falling_counts_match_the_listing(capsys):
+    for a, b, length in [(2, 2, None), (5, 8, None), (6, 9, None), (6, 9, "4"), (7, 7, "9")]:
+        extra = [] if length is None else ["--length", length]
+        code, out, _ = run(capsys, "falling", str(a), str(b), "--json", *extra)
+        listed = Counter(str(len(chain) - 1) for chain in json.loads(out))
+        code, out, _ = run(capsys, "falling", str(a), str(b), "--count-only", "--json", *extra)
+        assert code == 0
+        assert out == json.dumps(dict(sorted(listed.items(), key=lambda kv: int(kv[0])))) + "\n"
 
 
 def test_falling_usage_error(capsys):

@@ -1,3 +1,4 @@
+import re
 from itertools import product as cartesian
 from math import prod
 
@@ -511,6 +512,17 @@ def test_isomorphism_deeper_than_recursion_limit():
     assert pd.proper_divisibility_poset((1, 1200)).is_isomorphic_to(pd.chain(1200))
 
 
+def test_isomorphism_search_guard_counts_placements(monkeypatch):
+    # the chain guard bounds the placements of the backtracking search: an
+    # identity match places each element once, the hexagons need backtracking
+    p = _two_hexagons(((1, 3, 5), (7, 9, 11)), ((2, 4, 6), (8, 10, 12)))
+    q = _two_hexagons(((1, 2, 3), (7, 8, 9)), ((4, 5, 6), (10, 11, 12)))
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", len(p))
+    assert p.isomorphism_to(p) == list(range(len(p)))
+    with pytest.raises(pd.SizeGuardError, match="^isomorphism search made more than 14 placements$"):
+        p.isomorphism_to(q)
+
+
 def test_isomorphism_guard(monkeypatch):
     big = pd.boolean_lattice(9)
     monkeypatch.setattr(posets, "DEFAULT_ISO_GUARD", 100)
@@ -615,3 +627,40 @@ def test_cycle_rejected():
 def test_redundant_cover_rejected():
     with pytest.raises(ValueError):
         pd.Poset("abc", [[1, 2], [2], []])
+
+
+def _first_implied_cover(ups):
+    """The message for the first cover i -> j with j above another cover k of i.
+
+    Every cover must point to a higher index; reachability comes from
+    closing the covers, and the pairs are tried in the constructor's order.
+    """
+    reach = [set() for _ in ups]
+    for i in reversed(range(len(ups))):
+        for j in ups[i]:
+            reach[i] |= {j} | reach[j]
+    for i, covers in enumerate(ups):
+        for j in covers:
+            for k in covers:
+                if k != j and j in reach[k]:
+                    return f"cover {i} -> {j} is implied by {i} -> {k} -> ... -> {j}"
+    return None
+
+
+@st.composite
+def _ascending_covers(draw):
+    n = draw(st.integers(1, 7))
+    return [sorted(draw(st.sets(st.integers(i + 1, n - 1)))) for i in range(n - 1)] + [[]]
+
+
+@given(_ascending_covers())
+@settings(max_examples=150, deadline=None)
+@example([[1, 2, 3], [3], [3], []])  # 0 -> 3 is implied through 1 and through 2
+def test_constructor_names_the_first_implied_cover(ups):
+    n = len(ups)
+    want = _first_implied_cover(ups)
+    if want is None:
+        assert pd.Poset(range(n), ups).upcovers == tuple(map(tuple, ups))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            pd.Poset(range(n), ups)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import product as cartesian
 
 import pytest
@@ -8,12 +9,18 @@ import properdiv as pd
 from properdiv import posets
 from properdiv.shellability import RaoCertificate, _dual_lex_certificate
 
-from oracles import falling_chains_by_definition
+from oracles import falling_chains_by_definition, verify_rao_by_generators
 from strategies import bounded_posets, small_factors
 
 
 def _dual_pdiv(vec):
     return pd.proper_divisibility_poset(vec).dual()
+
+
+def _product(name):
+    """``"B2xpC3"`` is the proper product of B2 and C3; one factor stands alone."""
+    factors = [{"B": pd.boolean_lattice, "C": pd.chain}[f[0]](int(f[1:])) for f in name.split("xp")]
+    return pd.proper_product(*factors) if len(factors) > 1 else factors[0]
 
 
 def _greedy_certificate(p, x=None):
@@ -80,6 +87,111 @@ def test_verify_rejects_malformed_certificates():
     overgrown = RaoCertificate(cert.ordering, (leaf,) + cert.children[1:])
     with pytest.raises(ValueError, match="length <= 1 but the certificate carries children"):
         pd.verify_rao(star, overgrown)
+
+
+# -- the frame walk against the generator verifier -----------------------------------
+
+
+def _outcome(verify, p, cert):
+    try:
+        return verify(p, cert)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _assert_same_verdict(p, cert):
+    want = _outcome(verify_rao_by_generators, p, cert)
+    assert _outcome(pd.verify_rao, p, cert) == want
+    return want
+
+
+def test_frame_walk_matches_generators_on_the_dual_lex_corpus():
+    # every multidegree with at most three coordinates summing to at most 12
+    corpus = [
+        vec for n in (1, 2, 3) for vec in cartesian(range(13), repeat=n) if sum(vec) <= 12
+    ]
+    assert len(corpus) == 559
+    for vec in corpus:
+        verdict = _assert_same_verdict(_dual_pdiv(vec), pd.dual_lex_certificate(vec))
+        assert verdict == (True, None), vec
+
+
+def test_frame_walk_matches_generators_on_searched_certificates():
+    for vec in ((4, 4), (2, 3, 2)):
+        star = _dual_pdiv(vec)
+        assert _assert_same_verdict(star, pd.search_rao(star)) == (True, None)
+
+
+_PRODUCTS = ["C2xpC3", "C2xpB3", "B2xpC3", "B2xpB2", "B2xpB3", "B2xpB4", "B2xpB7", "B2xpB2xpB2", "B4"]
+
+
+def test_frame_walk_matches_generators_on_products():
+    for name in _PRODUCTS + ["B3xpB3"]:
+        p = _product(name)
+        verdict = _assert_same_verdict(p.dual(), _dual_lex_certificate(p))
+        assert verdict[0] == (name != "B3xpB3"), name
+    assert verdict[1] == (
+        "condition (i): atoms [(0, 4), (2, 0), (2, 4), (4, 0), (4, 4)] must come "
+        "first in the interval above (6, 5)"
+    )
+
+
+def _nodes_by_path(cert, depth):
+    """(path of child positions, node) for every node at most ``depth`` levels down."""
+    out, stack = [], [((), cert)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        if node.children is not None and len(path) < depth:
+            stack.extend((path + (j,), c) for j, c in enumerate(node.children))
+    return out
+
+
+def _replace_at(cert, path, new):
+    if not path:
+        return new
+    j, kids = path[0], cert.children
+    return RaoCertificate(
+        cert.ordering, kids[:j] + (_replace_at(kids[j], path[1:], new),) + kids[j + 1 :]
+    )
+
+
+def _mutants(node):
+    """Broken copies of one certificate node, each of one kind."""
+    order, kids = node.ordering, node.children
+    if len(order) >= 2:
+        # two atoms swapped, at the front and at the back
+        for i, j in ((0, 1), (len(order) - 2, len(order) - 1)):
+            perm = list(range(len(order)))
+            perm[i], perm[j] = j, i
+            yield RaoCertificate(
+                tuple(order[k] for k in perm),
+                None if kids is None else tuple(kids[k] for k in perm),
+            )
+    if order:
+        yield RaoCertificate(("no such label",) + order[1:], kids)
+    if kids is None:
+        yield RaoCertificate(order, (RaoCertificate((), None),) * len(order))
+    else:
+        yield RaoCertificate(order, None)
+        yield RaoCertificate(order, kids[:-1])
+        yield RaoCertificate(order, kids + kids[:1])
+
+
+def test_frame_walk_matches_generators_on_mutated_certificates():
+    cases = [(_dual_pdiv(vec), pd.dual_lex_certificate(vec)) for vec in ((3, 4), (4, 4), (2, 3, 2))]
+    cases.append((_dual_pdiv((4, 4)), pd.search_rao(_dual_pdiv((4, 4)))))
+    for name in ("B2xpB3", "B3xpB3"):
+        p = _product(name)
+        cases.append((p.dual(), _dual_lex_certificate(p)))
+    kinds = Counter()
+    for p, cert in cases:
+        for path, node in _nodes_by_path(cert, 3):
+            for bad in _mutants(node):
+                verdict = _assert_same_verdict(p, _replace_at(cert, path, bad))
+                kinds[verdict[0]] += 1
+    # every outcome occurs: accepted, refused and malformed
+    assert set(kinds) == {True, False, "ValueError"}, kinds
 
 
 # -- search_rao ------------------------------------------------------------------
@@ -201,13 +313,9 @@ def test_dual_lex_certificate_matches_the_sorting_rule():
 B, C = pd.boolean_lattice, pd.chain
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["C2xpC3", "C2xpB3", "B2xpC3", "B2xpB2", "B2xpB3", "B2xpB4", "B2xpB7", "B2xpB2xpB2", "B4"],
-)
+@pytest.mark.parametrize("name", _PRODUCTS)
 def test_the_builder_certifies_the_duals_of_products(name):
-    factors = [{"B": B, "C": C}[f[0]](int(f[1:])) for f in name.split("xp")]
-    p = pd.proper_product(*factors) if len(factors) > 1 else factors[0]
+    p = _product(name)
     assert pd.verify_rao(p.dual(), _dual_lex_certificate(p)) == (True, None)
 
 
@@ -359,6 +467,41 @@ def test_fch_matches_homology_oracle(pab_reduced):
         for i in range(degrees):
             got = counts[i] if i < len(counts) else 0
             assert got == summary.rank(i), (a, b, i)
+
+
+def test_falling_chain_counts_match_the_listing():
+    for a in range(2, 13):
+        for b in range(a, 13):
+            listed = Counter(c.length for c in pd.falling_chains(a, b))
+            counts = pd.betti_from_falling_chains(a, b)
+            assert Counter({i + 2: c for i, c in enumerate(counts) if c}) == listed, (a, b)
+
+
+def _disagreements(betti, largest):
+    """The pairs 2 <= a <= b <= largest where ``betti`` differs from ``betti_rank``."""
+    return [
+        (a, b)
+        for a in range(2, largest + 1)
+        for b in range(a, largest + 1)
+        if betti(a, b) != tuple(pd.formulas.betti_rank(a, b, i) for i in range(a - 1))
+    ]
+
+
+def _counts_allowing_the_decrement(a, b):
+    # the per-element count with every step allowed: maximal chains by length
+    p = pd.proper_divisibility_poset((a, b))
+    paths = {p.bottom: Counter({0: 1})}
+    for x in p._topo[1:]:
+        paths[x] = Counter()
+        for k in p.downcovers[x]:
+            paths[x].update({steps + 1: c for steps, c in paths[k].items()})
+    return tuple(paths[p.top][i + 2] for i in range(a - 1))
+
+
+def test_falling_chain_counts_match_the_formula():
+    assert _disagreements(pd.betti_from_falling_chains, 30) == []
+    # the check catches a count that steps onto the decrement
+    assert _disagreements(_counts_allowing_the_decrement, 6)
 
 
 def _swap_first_atoms_of_first_child(cert):
