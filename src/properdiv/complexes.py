@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .errors import SizeGuardError
 from .posets import Poset
+from .shellability import _dual_lex_betti
 
 DEFAULT_FACE_GUARD = 2_000_000
 
@@ -37,10 +38,12 @@ class SimplicialComplex:
     ``SimplicialComplex(vertices, facets)`` checks facets from outside: it
     sorts and de-duplicates them and refuses empty facets, out-of-range
     vertices, facets inside others and vertices in no facet.
-    ``order_complex`` stores its maximal chains without these checks.
+    ``order_complex`` stores its maximal chains without these checks, and
+    with them the reduced Betti numbers its poset's certificate gives, which
+    ``homology`` answers from; every other complex has None there.
     """
 
-    __slots__ = ("vertices", "facets")
+    __slots__ = ("vertices", "facets", "_certified_betti")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -69,10 +72,11 @@ class SimplicialComplex:
             raise ValueError(f"vertices [{shown}] lie in no facet")
         self._assemble(vertices, normalized)
 
-    def _assemble(self, vertices, facets):
+    def _assemble(self, vertices, facets, certified_betti=None):
         # facets: sorted tuples, in range, pairwise incomparable, covering every
         # vertex and listed in lexicographic order; they are stored as given
         self.vertices, self.facets = vertices, facets
+        self._certified_betti = certified_betti
         return self
 
     # -- queries ---------------------------------------------------------
@@ -181,10 +185,22 @@ def order_complex(p: Poset) -> SimplicialComplex:
     maximal chains, distinct and pairwise incomparable, stored unchecked but
     sorted, since chains of duals and parsed posets may run down the index
     order.  Returns the empty complex when nothing is left.
+
+    Once the chains are listed, the dual-lex certificate of ``p.dual()`` is
+    checked, and if it verifies, the reduced Betti numbers it gives are kept
+    with the complex for ``homology`` (see the ``homology`` module).  That
+    walk reads each cover of ``p``, and every cover lies on a maximal chain,
+    so the face guard, which the chains have passed, bounds its steps.  It
+    also holds a bitmask of ``len(p)`` bits per element, and is skipped where
+    those would take more memory than the facets (tuples of 7 words plus one
+    per vertex), as on a wide poset with few chains.
     """
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
     open_poset = p.open_part()
     chains = open_poset.maximal_chains(max_chains=face_guard_default())
     facets = tuple(sorted(tuple(sorted(c)) for c in chains))
-    return SimplicialComplex.__new__(SimplicialComplex)._assemble(open_poset.labels, facets)
+    del chains  # the walk below may reuse their memory
+    words = 7 * len(facets) + sum(map(len, facets))
+    betti = _dual_lex_betti(p) if facets and len(p) ** 2 <= 64 * words else None
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(open_poset.labels, facets, betti)

@@ -49,6 +49,30 @@ Only the core is closed, reduced and held to the face guard.  Its
 dimension may be lower than the complex's; the degrees in between have
 rank 0 and no torsion, and ``betti`` and ``torsion`` are padded with them
 to the complex's dimension, so a summary does not depend on the collapse.
+
+An order complex needs none of this when its poset's dual is certified.
+``order_complex(P)`` checks the dual-lex certificate of the dual P-bar,
+an atom ordering of every interval of P-bar read from covers (x's
+down-covers in descending index order), against conditions (i) and (ii)
+of a recursive atom ordering, exactly as ``verify_rao`` does.  If it
+verifies, the ordering induces a CL-labelling (Björner & Wachs, "On
+lexicographically shellable posets", 1983, Thm 3.2), and the order
+complex is a wedge of spheres, one S^(k-2) for each falling maximal chain
+of P-bar with k steps (Björner & Wachs, "Shellable nonpure complexes and
+posets II", 1997, Thm 5.9).  So its reduced homology is free, of rank the
+number of falling chains with i + 2 steps in degree i.  A maximal chain
+x_0 < x_1 < ... of P-bar is falling iff every step x_i -> x_(i+1) after
+the first lands on an atom that condition (i) requires to come first in
+the interval above x_i: one lying above an atom of the interval above
+x_(i-1) that is ordered before x_i.  The walk that checks and counts
+reads each cover of P twice, and every cover lies on a maximal chain, so
+its steps are bounded by the chains, which the face guard bounds; it is
+skipped where its bitmasks, one per element, would outweigh the facets.
+No face is closed on this route, so the face guard binds only the
+facets.  The counts are kept with the complex and :func:`homology`
+answers from them.  Every other complex, and an order complex whose
+certificate fails (the face poset of RP^2, with its torsion, is one), is
+collapsed and reduced.
 """
 
 from __future__ import annotations
@@ -383,7 +407,24 @@ def homology(
     the (i+1)-st map.  With ``torsion=False`` the ranks come from the same
     elimination and the summary leaves the torsion out.  Only the faces of
     the strong-collapse core are closed and reduced (module docstring).
+
+    An order complex whose poset's dual-lex certificate verified carries its
+    reduced Betti numbers, counted as falling chains: the summary is read
+    from those, padded with 0 to the complex's dimension, torsion-free, and
+    1 higher in degree 0 when not reduced.  No face is closed then, so the
+    face guard does not apply (module docstring).
     """
+    certified = k._certified_betti
+    if certified is not None:
+        betti = certified + (0,) * (k.dim + 1 - len(certified))
+        if not reduced:
+            betti = (betti[0] + 1,) + betti[1:]
+        return HomologySummary(
+            reduced=reduced,
+            betti=betti,
+            torsion=((),) * len(betti) if torsion else None,
+            empty_complex=False,
+        )
     faces = _close_faces(_strong_collapse(k))
     if not faces:
         return HomologySummary(

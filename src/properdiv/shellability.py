@@ -342,6 +342,65 @@ def _dual_lex_certificate(poset: Poset) -> RaoCertificate:
     return certs[poset.top]
 
 
+def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
+    """Reduced Betti numbers of Δ(poset) from the dual-lex certificate of its dual, or None.
+
+    Degree i counts the falling maximal chains of ``poset.dual()`` with
+    i + 2 steps (see the ``homology`` module); the result is None when a
+    condition ``verify_rao`` checks fails.  The certificate is read from
+    covers, never built: the atoms of the dual's interval above x are x's
+    down-covers in descending index order, and ``poset.below`` gives the
+    dual's up-sets.  What a certificate node is checked for depends only on
+    its element, except condition (i), whose required mask the parent's
+    prefix fixes; and once every interval passes, every element has been
+    entered.  So checking each element's atoms once, in any order, gives
+    ``verify_rao``'s verdict.  The atoms condition (i) requires lead the
+    descending order, so the required mask is fixed by its size.
+
+    A chain is falling iff each step after the first lands on an atom in the
+    required mask of the interval it leaves.  ``sums[x][m]`` counts, by
+    length, the falling chains from x down to the bottom whose first step
+    lands on one of x's first m atoms: the memo on (x, required mask) a walk
+    from the top would keep, filled in from the bottom up.  Each pass reads
+    every cover of ``poset`` once.
+    """
+    down, below = poset.downcovers, poset.below
+    down_mask = [sum(map((1).__lshift__, d)) for d in down]
+    # the size of the required mask each atom hands on, per element; checked
+    # from the top down, as verify_rao enters the intervals
+    leads: list = [None] * len(poset)
+    for x in reversed(poset._topo):
+        # the down-sets of the atoms taken so far; atoms of one interval are
+        # incomparable, so the atoms' own bits change no test below
+        prefix = 0
+        sizes = leads[x] = []
+        for atom in reversed(down[x]):
+            required = down_mask[atom] & prefix
+            rest = down_mask[atom] ^ required
+            # condition (i): no other atom of atom's interval has a higher index
+            if required and rest.bit_length() > (required & -required).bit_length():
+                return None
+            trigger = below[atom] & prefix
+            if trigger:  # condition (ii)
+                witness = 0
+                for q in down[atom]:
+                    if required >> q & 1:
+                        witness |= below[q]
+                if trigger & ~witness:
+                    return None
+            sizes.append(required.bit_count())
+            prefix |= below[atom]
+    sums: list = [None] * len(poset)
+    sums[poset.bottom] = [[1]]  # the chain of no steps; the bottom has no atoms
+    for x in poset._topo[1:]:  # a linear extension starts at the bottom
+        acc: list[int] = []
+        row = sums[x] = [acc]
+        for atom, size in zip(reversed(down[x]), leads[x]):
+            acc = [*map(sum, zip_longest(acc, (0, *sums[atom][size]), fillvalue=0))]
+            row.append(acc)
+    return tuple(sums[poset.top][-1][2:])
+
+
 # -- falling chains (two coordinates) ----------------------------------------
 
 

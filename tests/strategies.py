@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random bounded posets, and a fixed set of small ones."""
+"""Hypothesis strategies for random bounded posets, and fixed ones."""
 
 from hypothesis import strategies as st
 
@@ -54,3 +54,30 @@ def small_factors():
         pd.proper_divisibility_poset((2, 3)),
     ]
     return base + [p.dual() for p in base]
+
+
+# the 10 triangles of the 6-vertex triangulation of the real projective plane
+RP2_FACETS = (
+    (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+)
+
+
+def face_poset(cx):
+    """The faces of a complex under inclusion, with a bottom "0" and a top "1" added.
+
+    Its order complex is the barycentric subdivision of ``cx``.
+    """
+    faces = [f for level in cx.faces_by_dim() for f in level]
+    index = {f: k + 1 for k, f in enumerate(faces)}
+    top = len(faces) + 1
+    ups = [[] for _ in range(top + 1)]
+    for f in faces:
+        if len(f) == 1:
+            ups[0].append(index[f])
+        else:
+            for j in range(len(f)):
+                ups[index[f[:j] + f[j + 1 :]]].append(index[f])
+    for f in cx.facets:
+        ups[index[f]].append(top)
+    return pd.Poset(["0"] + faces + ["1"], ups)

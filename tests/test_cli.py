@@ -189,12 +189,18 @@ def test_homology_long_chain_collapses_to_a_point(capsys, monkeypatch):
 
 
 def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
-    # B2 xp B6 has no dominated vertex: 3,194 maximal chains pass the chain
-    # guard, and its 14,048 faces trip the face guard
+    # B3 xp B3 has no dominated vertex and its dual-lex certificate fails, so
+    # its 120 maximal chains pass the chain guard and its 168 faces, closed
+    # for the reduction, trip the face guard
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "150")
+    code, out, err = run(capsys, "homology", "prod", "bool 3", "bool 3")
+    assert (code, out) == (3, "")
+    assert err == "error: face-count guard 150 exceeded\n"
+    # B2 xp B6 (3,194 chains, 14,048 faces) is certified: the face guard
+    # binds only the reduction, so its chains are all it must pass
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5000")
     code, out, err = run(capsys, "homology", "prod", "bool 2", "bool 6")
-    assert (code, out) == (3, "")
-    assert err == "error: face-count guard 5000 exceeded\n"
+    assert (code, out, err) == (0, "betti (non-reduced): 15 30 40 30 13\n", "")
 
 
 def test_homology_file_with_repeated_index(capsys, tmp_path):

@@ -59,6 +59,7 @@ def _assert_order_complex_matches_the_checking_constructor(p):
         trusted = pd.order_complex(q)
         assert trusted.vertices == checked.vertices
         assert trusted.facets == checked.facets
+        assert checked._certified_betti is None
 
 
 def test_order_complex_matches_the_checking_constructor():
@@ -79,6 +80,18 @@ def test_order_complex_matches_the_checking_constructor():
 @settings(max_examples=100, deadline=None)
 def test_order_complex_of_random_posets_matches_the_checking_constructor(p):
     _assert_order_complex_matches_the_checking_constructor(p)
+
+
+def test_order_complex_walks_no_bitmasks_wider_than_its_facets():
+    # P(2, ..., 2) is a bottom, 2**n - 1 atoms and a top.  For n = 10 its
+    # 1,025 bitmasks of up to 1,025 bits would outweigh the 1,023 one-vertex
+    # facets, so the certificate is not checked and no bitmask is built
+    p = pd.proper_divisibility_poset((2,) * 10)
+    cx = pd.order_complex(p)
+    assert cx._certified_betti is None and p._below is None
+    assert pd.homology(cx, reduced=True).betti == (1022,)
+    p = pd.proper_divisibility_poset((2, 2, 2))
+    assert pd.order_complex(p)._certified_betti == (6,)
 
 
 def test_order_complex_requires_bounded():
@@ -212,6 +225,7 @@ def test_facet_text_roundtrip():
     assert text.splitlines()[0] == "vertices: 8"
     back = SimplicialComplex.from_facet_text(text)
     assert back.facets == cx.facets
+    assert cx._certified_betti is not None and back._certified_betti is None
     empty = SimplicialComplex((), ())
     assert SimplicialComplex.from_facet_text(empty.to_facet_text()).is_empty
 

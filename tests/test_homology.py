@@ -14,15 +14,9 @@ from properdiv.homology import (
 from properdiv.complexes import SimplicialComplex
 
 from oracles import dense_boundaries, rank_over_rationals, snf_by_minors
-from strategies import bounded_posets
+from strategies import RP2_FACETS, bounded_posets, face_poset
 
-RP2 = SimplicialComplex(
-    range(6),
-    [
-        (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ],
-)
+RP2 = SimplicialComplex(range(6), RP2_FACETS)
 
 
 def _pdiv_complex(vec):
@@ -186,20 +180,8 @@ def test_projective_plane_torsion():
 
 
 def _subdivision(cx):
-    """Barycentric subdivision: the order complex of the face poset plus 0 and 1."""
-    faces = [f for level in cx.faces_by_dim() for f in level]
-    index = {f: k + 1 for k, f in enumerate(faces)}
-    top = len(faces) + 1
-    ups = [[] for _ in range(top + 1)]
-    for f in faces:
-        if len(f) == 1:
-            ups[0].append(index[f])
-        else:
-            for j in range(len(f)):
-                ups[index[f[:j] + f[j + 1 :]]].append(index[f])
-    for f in cx.facets:
-        ups[index[f]].append(top)
-    return pd.order_complex(pd.Poset(["0"] + faces + ["1"], ups))
+    """Barycentric subdivision: the order complex of the face poset."""
+    return pd.order_complex(face_poset(cx))
 
 
 def _suspension(cx):
@@ -245,6 +227,20 @@ def _minors_feasible(cx):
     return all(comb(f[d - 1] + f[d], f[d]) <= 3000 for d in range(1, len(f)))
 
 
+def _routes(cx):
+    """``cx``, and if it carries certified Betti numbers, its copy without them.
+
+    ``order_complex`` keeps the Betti numbers its poset's certificate gives
+    and ``homology`` answers from them; the checked constructor keeps none,
+    so the copy is collapsed and reduced.
+    """
+    if cx._certified_betti is None:
+        return [cx]
+    checked = SimplicialComplex(cx.vertices, cx.facets)
+    assert checked._certified_betti is None
+    return [cx, checked]
+
+
 def _check_against_uncleared(cx):
     oracle = _minors_feasible(cx)
     for reduced in (False, True):
@@ -265,7 +261,8 @@ def _check_against_uncleared(cx):
 @given(bounded_posets(max_mid=6))
 @settings(max_examples=150, deadline=None)
 def test_clearing_matches_uncleared_on_order_complexes(poset):
-    _check_against_uncleared(pd.order_complex(poset))
+    for cx in _routes(pd.order_complex(poset)):
+        _check_against_uncleared(cx)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +271,8 @@ def test_clearing_matches_uncleared_on_order_complexes(poset):
     ids=["RP2", "susp-RP2", "sd-RP2", "P4,4", "RP2-cone", "RP2-path"],
 )
 def test_clearing_matches_uncleared_with_torsion(cx):
-    _check_against_uncleared(cx)
+    for route in _routes(cx):
+        _check_against_uncleared(route)
 
 
 # -- strong collapse ----------------------------------------------------------------
@@ -328,9 +326,11 @@ def _uncollapsed_homology(cx, reduced):
     ids=["P4,4,4", "P7,8", "B2xpB6"],
 )
 def test_collapse_matches_uncollapsed_reference(cx):
-    for reduced in (False, True):
-        s = pd.homology(cx, reduced=reduced)
-        assert (s.betti, s.torsion) == _uncollapsed_homology(cx, reduced)
+    assert len(_routes(cx)) == 2  # each of these is certified
+    for route in _routes(cx):
+        for reduced in (False, True):
+            s = pd.homology(route, reduced=reduced)
+            assert (s.betti, s.torsion) == _uncollapsed_homology(cx, reduced)
 
 
 def test_face_guard_bounds_the_core(monkeypatch):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 
 import properdiv as pd
 from properdiv import posets
-from properdiv.shellability import RaoCertificate, _dual_lex_certificate
+from properdiv.cli import REFERENCE_TABLE
+from properdiv.shellability import RaoCertificate, _dual_lex_betti, _dual_lex_certificate
 
 from oracles import falling_chains_by_definition, verify_rao_by_generators
-from strategies import bounded_posets, small_factors
+from strategies import RP2_FACETS, bounded_posets, face_poset, small_factors
 
 
 def _dual_pdiv(vec):
@@ -354,6 +355,86 @@ def test_the_builder_refuses_an_unbounded_poset():
 def test_duality_asymmetry_witness():
     assert pd.search_rao(pd.proper_divisibility_poset((4, 4))) is None
     assert pd.search_rao(_dual_pdiv((4, 4))) is not None
+
+
+# -- Betti numbers from the dual-lex certificate ----------------------------------
+
+
+def _routes_agree(p):
+    """``verify_rao``'s verdict on p's dual-lex certificate, after checking the walk against it.
+
+    The walk must give Betti numbers exactly when ``verify_rao`` passes the
+    certificate, and ``homology`` of the order complex, which answers from
+    them, must equal collapse and reduction of the same facets.
+    """
+    ok, _ = pd.verify_rao(p.dual(), _dual_lex_certificate(p))
+    assert (_dual_lex_betti(p) is not None) == ok
+    cx = pd.order_complex(p)
+    assert (cx._certified_betti is not None) == (ok and not cx.is_empty)
+    checked = pd.SimplicialComplex(cx.vertices, cx.facets)
+    for reduced in (False, True):
+        assert pd.homology(cx, reduced=reduced) == pd.homology(checked, reduced=reduced)
+    return ok
+
+
+@given(bounded_posets(max_mid=7))
+@settings(max_examples=150, deadline=None)
+def test_certified_betti_match_reduction_on_random_posets(p):
+    _routes_agree(p)
+    _routes_agree(p.dual())
+
+
+def test_certified_betti_match_reduction_on_the_dual_lex_corpus():
+    corpus = [
+        vec for n in (1, 2, 3) for vec in cartesian(range(13), repeat=n) if sum(vec) <= 12
+    ]
+    for vec in corpus:
+        assert _routes_agree(pd.proper_divisibility_poset(vec)), vec
+
+
+def test_certified_betti_match_reduction_on_products():
+    for name in _PRODUCTS:
+        if name != "B2xpB7":  # its reduction alone takes seconds; checked below
+            assert _routes_agree(_product(name)), name
+    for i, j, want in REFERENCE_TABLE:
+        if i == 2:
+            p = pd.proper_product(pd.boolean_lattice(i), pd.boolean_lattice(j))
+            assert _dual_lex_betti(p) == (want[0] - 1,) + want[1:]
+            assert pd.homology(pd.order_complex(p), torsion=False).betti == want
+
+
+# 0 < c < 1 and 0 < a < b < 1: the top's down-covers in descending index
+# order are c, then b, whose strict down-set meets c's in 0 while b's
+# down-cover a lies below no earlier atom
+_FAILS_CONDITION_II = pd.Poset(["b", "c", "a", "1", "0"], [[3], [3], [0], [], [1, 2]])
+# c covers a and b, d covers a: the top orders d before c, which makes a lead
+# the interval below c, but c's descending order puts b first
+_FAILS_CONDITION_I = pd.Poset(["a", "b", "c", "d", "0", "1"], [[2, 3], [2], [5], [5], [0, 1], []])
+
+
+@pytest.mark.parametrize(
+    "p, condition",
+    [
+        (_FAILS_CONDITION_II, "condition (ii)"),
+        (_FAILS_CONDITION_I, "condition (i)"),
+        (pd.proper_product(B(3), B(3)), "condition (i)"),
+        (face_poset(pd.SimplicialComplex(range(6), RP2_FACETS)), "condition (i)"),
+    ],
+    ids=["fails-ii", "fails-i", "B3xpB3", "RP2-faces"],
+)
+def test_failed_certificates_give_no_betti_numbers(p, condition):
+    ok, why = pd.verify_rao(p.dual(), _dual_lex_certificate(p))
+    assert not ok and why.startswith(condition)
+    assert _dual_lex_betti(p) is None
+    assert not _routes_agree(p)
+
+
+def test_rp2_face_poset_keeps_its_torsion():
+    # the order complex of the face poset of RP^2 is its subdivision
+    cx = pd.order_complex(face_poset(pd.SimplicialComplex(range(6), RP2_FACETS)))
+    assert cx._certified_betti is None
+    s = pd.homology(cx, reduced=True)
+    assert (s.betti, s.torsion) == ((0, 0, 0), ((), (2,), ()))
 
 
 # -- border elements and falling chains ---------------------------------------------
