@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
 
     def check_oracle(a, b):
         # through the checked constructor, which keeps no certified Betti
-        # numbers: the ranks come from collapse and reduction, independent
+        # numbers: the ranks come from reducing all of its faces, independent
         # of the falling chains the next check counts
         cx = order_complex(proper_divisibility_poset((a, b)))
         summary = homology(SimplicialComplex(cx.vertices, cx.facets), reduced=True)

@@ -2,8 +2,8 @@
 
 A :class:`SimplicialComplex` stores its vertex labels and the list of
 inclusion-maximal faces (facets).  The empty complex (no vertices, no
-facets) is a legitimate value: it is what the order complex of a bounded
-poset with at most two elements collapses to, and its reduced Euler
+facets) is a legitimate value: it is the order complex of a bounded
+poset with at most two elements, and its reduced Euler
 characteristic is -1.
 """
 
@@ -40,7 +40,8 @@ class SimplicialComplex:
     vertices, facets inside others and vertices in no facet.
     ``order_complex`` stores its maximal chains without these checks, and
     with them the reduced Betti numbers its poset's certificate gives, which
-    ``homology`` answers from; every other complex has None there.
+    ``homology`` answers from.  Every other complex has None there, and
+    ``homology`` closes and reduces all of its faces, held to the face guard.
     """
 
     __slots__ = ("vertices", "facets", "_certified_betti")
@@ -142,10 +143,10 @@ class SimplicialComplex:
 
 
 def _close_faces(facets) -> list[list[tuple[int, ...]]]:
-    """All faces of the complex generated by ``facets``, grouped by dimension.
+    """All faces of the complex with these ``facets``, grouped by dimension.
 
-    ``facets`` are sorted tuples; they need not be inclusion-maximal.  Faces
-    are produced by closing them downward one dimension at a time, with
+    ``facets`` are sorted tuples, as a :class:`SimplicialComplex` holds them.
+    Faces are produced by closing them downward one dimension at a time, with
     deduplication, and each level is sorted lexicographically.  More faces
     than :func:`face_guard_default` raise :class:`SizeGuardError`; this is
     the one place that guard is held to faces.
@@ -162,7 +163,7 @@ def _close_faces(facets) -> list[list[tuple[int, ...]]]:
     for f in facets:
         levels[len(f) - 1].add(f)
     total = sum(len(s) for s in levels)
-    if total > guard:  # the generators alone, e.g. many isolated vertices
+    if total > guard:  # the facets alone, e.g. many isolated vertices
         raise SizeGuardError(f"face-count guard {guard} exceeded")
     for d in range(dmax, 0, -1):
         lower = levels[d - 1]
@@ -192,15 +193,15 @@ def order_complex(p: Poset) -> SimplicialComplex:
     walk reads each cover of ``p``, and every cover lies on a maximal chain,
     so the face guard, which the chains have passed, bounds its steps.  It
     also holds a bitmask of ``len(p)`` bits per element, and is skipped where
-    those would take more memory than the facets (tuples of 7 words plus one
-    per vertex), as on a wide poset with few chains.
+    those, counted in 64-bit words, exceed the face guard too, as on a wide
+    poset such as P(2, ..., 2) with 14 coordinates.
     """
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
     open_poset = p.open_part()
-    chains = open_poset.maximal_chains(max_chains=face_guard_default())
+    guard = face_guard_default()
+    chains = open_poset.maximal_chains(max_chains=guard)
     facets = tuple(sorted(tuple(sorted(c)) for c in chains))
     del chains  # the walk below may reuse their memory
-    words = 7 * len(facets) + sum(map(len, facets))
-    betti = _dual_lex_betti(p) if facets and len(p) ** 2 <= 64 * words else None
+    betti = _dual_lex_betti(p) if facets and len(p) ** 2 <= 64 * guard else None
     return SimplicialComplex.__new__(SimplicialComplex)._assemble(open_poset.labels, facets, betti)

@@ -29,27 +29,6 @@ kept faces, and since the d-th map kills boundaries, its image lattice,
 rank and invariant factors are those of the kept columns alone.  Rows of
 the set-aside columns clear nothing.
 
-Before any face is closed, :func:`homology` strongly collapses the complex
-(Barmak & Minian, "Strong homotopy types, nerves and collapses", 2012).  A
-vertex v is dominated by w != v when every maximal face containing v also
-contains w.  Then the link of v is a cone with apex w, so the star of v
-deformation retracts onto the rest of the complex, and deleting v keeps
-the integer homology, torsion included.  Deleting a vertex u != w keeps w
-a dominator of v: a maximal face of the smaller complex that contains v
-lies in a maximal face of the larger one, which contains w, so adding w
-to it gives a face without u, and by maximality it already contains w.
-So one round may delete, in order, every vertex that still has an
-undeleted dominator.  The last vertex deleted from a generator leaves its
-dominator, which lies in that generator, behind, so no generator empties
-and at least one vertex survives.  Generators that are not maximal only
-hide dominators, never invent one.  Every beat point of a poset (Stong)
-is a dominated vertex of its order complex, and P(a) has many.
-
-Only the core is closed, reduced and held to the face guard.  Its
-dimension may be lower than the complex's; the degrees in between have
-rank 0 and no torsion, and ``betti`` and ``torsion`` are padded with them
-to the complex's dimension, so a summary does not depend on the collapse.
-
 An order complex needs none of this when its poset's dual is certified.
 ``order_complex(P)`` checks the dual-lex certificate of the dual P-bar,
 an atom ordering of every interval of P-bar read from covers (x's
@@ -66,24 +45,22 @@ the first lands on an atom that condition (i) requires to come first in
 the interval above x_i: one lying above an atom of the interval above
 x_(i-1) that is ordered before x_i.  The walk that checks and counts
 reads each cover of P twice, and every cover lies on a maximal chain, so
-its steps are bounded by the chains, which the face guard bounds; it is
-skipped where its bitmasks, one per element, would outweigh the facets.
-No face is closed on this route, so the face guard binds only the
-facets.  The counts are kept with the complex and :func:`homology`
+its steps are bounded by the chains, which the face guard bounds.  It
+also holds a bitmask of len(P) bits per element, and is skipped where
+those, counted in 64-bit words, exceed the same guard.  No face is
+closed on this route, so the face guard binds only the facets and the
+masks.  The counts are kept with the complex and :func:`homology`
 answers from them.  Every other complex, and an order complex whose
-certificate fails (the face poset of RP^2, with its torsion, is one), is
-collapsed and reduced.
+certificate fails (the face poset of RP^2, with its torsion, is one) or
+is skipped, is reduced as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
-from operator import or_
 
 from .complexes import SimplicialComplex, _close_faces
-from .posets import _bits
 
 
 # -- sparse phase ---------------------------------------------------------
@@ -253,117 +230,6 @@ def _boundary_columns(lower_index, upper_faces, skip=frozenset()):
         }
 
 
-# -- strong collapse ----------------------------------------------------------
-
-
-def _bitmask(indices: list[int]) -> int:
-    marks = bytearray(max(indices, default=0) // 8 + 1)
-    for i in indices:
-        marks[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(marks, "little")
-
-
-def _strong_collapse(k: SimplicialComplex) -> list[tuple[int, ...]]:
-    """The facets of the core of ``k``: dominated vertices deleted until none is left.
-
-    A vertex v is dominated by w != v when every generator containing v
-    contains w.  Each round deletes, in vertex order, every vertex it looks
-    at that has a dominator not yet deleted.  The generators that lost
-    vertices are then shrunk in place, and those that repeat or now lie in
-    another are dropped.  Only their vertices can have become dominated, so
-    they are all the next round looks at.  When nothing is dominated the
-    generators are the facets of ``k``; the empty complex has none.
-    """
-    n = len(k.vertices)
-    gens = list(k.facets)
-    # rows[v]: the indices of the generators containing v.  Bitmasks make the
-    # checks below run at C speed, but n of them take n * len(gens) bits;
-    # they are used when that is no more than the facets take themselves
-    # (a tuple is 56 bytes plus 8 per vertex), else lists, which keep the
-    # memory linear in a complex with many vertices.
-    dense = n * len(gens) <= 64 * (7 * len(gens) + sum(map(len, gens)))
-    if dense:
-        marks = [bytearray(len(gens) // 8 + 1) for _ in range(n)]
-        for i, f in enumerate(gens):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for v in f:
-                marks[v][byte] |= bit
-        rows = [int.from_bytes(m, "little") for m in marks]
-        del marks
-    else:
-        rows = [[] for _ in range(n)]
-        for i, f in enumerate(gens):
-            for v in f:
-                rows[v].append(i)  # ascending, and kept so
-    alive = [True] * n
-    dropped: set[int] = set()
-
-    def dominated(v):
-        mine = rows[v]
-        # a dominator of v lies in every generator containing v, the last too
-        last = gens[mine.bit_length() - 1 if dense else mine[-1]]
-        for w in last:
-            if w == v or not alive[w]:
-                continue
-            theirs = rows[w]
-            if dense:
-                if theirs & mine == mine:
-                    return True
-            elif len(theirs) >= len(mine) and all(w in gens[i] for i in mine):
-                return True
-        return False
-
-    def inside(i):
-        """Whether generator i lies in another one."""
-        f = gens[i]
-        if dense:
-            common = -1
-            for u in f:
-                common &= rows[u]
-            return common.bit_count() > 1
-        members = set(f)
-        rarest = min((rows[u] for u in f), key=len)
-        return any(j != i and members.issubset(gens[j]) for j in rarest)
-
-    def drop(indices):
-        dropped.update(indices)
-        if dense:
-            keep = ~_bitmask(indices)
-            for u in {u for i in indices for u in gens[i]}:
-                rows[u] &= keep
-        else:
-            for i in indices:
-                for u in gens[i]:
-                    rows[u].remove(i)
-
-    todo = range(n)
-    while todo:
-        deleted = []
-        for v in todo:
-            # a vertex in no generator is no vertex of the complex
-            if alive[v] and rows[v] and dominated(v):
-                alive[v] = False
-                deleted.append(v)
-        if dense:
-            shrunk = _bits(reduce(or_, (rows[v] for v in deleted), 0))
-        else:
-            shrunk = sorted(set().union(*(rows[v] for v in deleted)))
-        for v in deleted:
-            rows[v] = 0 if dense else []
-        distinct: dict[tuple[int, ...], int] = {}
-        repeats = []
-        for i in shrunk:
-            f = gens[i] = tuple(filter(alive.__getitem__, gens[i]))
-            if distinct.setdefault(f, i) != i:
-                repeats.append(i)
-        drop(repeats)
-        # only a shrunk generator can now lie in another: a generator that
-        # kept its vertices and lay in another would have done so before
-        drop([i for i in distinct.values() if inside(i)])
-        todo = sorted({v for f in distinct for v in f})
-    return [f for i, f in enumerate(gens) if i not in dropped]
-
-
 # -- homology ---------------------------------------------------------------
 
 
@@ -405,8 +271,8 @@ def homology(
     ``betti[i]`` is the nullity of the i-th boundary map minus the rank of
     the (i+1)-st; torsion in degree i lists the invariant factors > 1 of
     the (i+1)-st map.  With ``torsion=False`` the ranks come from the same
-    elimination and the summary leaves the torsion out.  Only the faces of
-    the strong-collapse core are closed and reduced (module docstring).
+    elimination and the summary leaves the torsion out.  Every face is
+    closed, held to the face guard and reduced (module docstring).
 
     An order complex whose poset's dual-lex certificate verified carries its
     reduced Betti numbers, counted as falling chains: the summary is read
@@ -425,7 +291,7 @@ def homology(
             torsion=((),) * len(betti) if torsion else None,
             empty_complex=False,
         )
-    faces = _close_faces(_strong_collapse(k))
+    faces = _close_faces(k.facets)
     if not faces:
         return HomologySummary(
             reduced=reduced,
@@ -449,16 +315,11 @@ def homology(
         # the (d-1)-faces that were unit pivot rows of this map are the
         # columns the next map down can leave out (module docstring)
         cleared = set(pivot_rows)
-    # degrees above the core's dimension, up to k's, are 0 and torsion-free
-    pad = k.dim - dim
-    betti = tuple(
-        len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1)
-    ) + (0,) * pad
+    betti = tuple(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1))
     if torsion:
         torsion_lists = tuple(
-            tuple(x for x in tails[i + 1] if x > 1)
-            for i in range(dim + 1)
-        ) + ((),) * pad
+            tuple(x for x in tails[i + 1] if x > 1) for i in range(dim + 1)
+        )
     else:
         torsion_lists = None
     return HomologySummary(

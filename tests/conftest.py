@@ -7,7 +7,7 @@ import properdiv as pd
 def pab_reduced():
     """Reduced homology summaries (with torsion) for all P(a, b), 2 <= a <= b <= 8.
 
-    Computed by collapse and reduction: the complexes go through the checked
+    Computed by reducing all faces: the complexes go through the checked
     constructor, which keeps no certified Betti numbers.
     """
     out = {}

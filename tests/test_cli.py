@@ -128,9 +128,7 @@ def _rp2_face_poset_text():
     return pd.Poset(labels, ups).to_text()
 
 
-# stdout of the program before homology() closed only the strong-collapse
-# core; the cores of the pdiv rows have lower dimension, so their summaries
-# are padded back
+# stdout of the program, pinned across every change to how homology() answers
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # argv after `homology`, unless it starts with `rao`
@@ -178,20 +176,22 @@ def test_homology_guard_exit(capsys):
     assert "guard" in err
 
 
-def test_homology_long_chain_collapses_to_a_point(capsys, monkeypatch):
+def test_homology_long_chain_answers_from_its_certificate(capsys, monkeypatch):
     # P(1500) is a chain: one maximal chain longer than the recursion limit,
     # and a 1499-vertex simplex whose faces are far beyond the face guard.
-    # Homology closes only the faces of its strong-collapse core, one vertex.
+    # Its 1,501**2 mask bits fit the guard, so the certificate answers and
+    # no face is closed.
     monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
+    assert pd.order_complex(pd.proper_divisibility_poset((1500,)))._certified_betti is not None
     code, out, err = run(capsys, "homology", "pdiv", "1500", "--reduced")
     assert (code, err) == (0, "")
     assert out == "betti (reduced): " + " ".join(["0"] * 1499) + "\n"
 
 
 def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
-    # B3 xp B3 has no dominated vertex and its dual-lex certificate fails, so
-    # its 120 maximal chains pass the chain guard and its 168 faces, closed
-    # for the reduction, trip the face guard
+    # the dual-lex certificate of B3 xp B3 fails, so its 120 maximal chains
+    # pass the chain guard and its 168 faces, closed for the reduction, trip
+    # the face guard
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "150")
     code, out, err = run(capsys, "homology", "prod", "bool 3", "bool 3")
     assert (code, out) == (3, "")

@@ -82,16 +82,18 @@ def test_order_complex_of_random_posets_matches_the_checking_constructor(p):
     _assert_order_complex_matches_the_checking_constructor(p)
 
 
-def test_order_complex_walks_no_bitmasks_wider_than_its_facets():
+def test_order_complex_walks_no_bitmasks_wider_than_its_facets(monkeypatch):
     # P(2, ..., 2) is a bottom, 2**n - 1 atoms and a top.  For n = 10 its
-    # 1,025 bitmasks of up to 1,025 bits would outweigh the 1,023 one-vertex
-    # facets, so the certificate is not checked and no bitmask is built
+    # 1,025 bitmasks of up to 1,025 bits take more 64-bit words than a face
+    # guard of 10,000, so the certificate is not checked and no bitmask is
+    # built; the 1,023 one-vertex facets pass that guard and are reduced
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "10000")
     p = pd.proper_divisibility_poset((2,) * 10)
     cx = pd.order_complex(p)
     assert cx._certified_betti is None and p._below is None
     assert pd.homology(cx, reduced=True).betti == (1022,)
-    p = pd.proper_divisibility_poset((2, 2, 2))
-    assert pd.order_complex(p)._certified_betti == (6,)
+    monkeypatch.delenv("PROPERDIV_GUARD_FACES")
+    assert pd.order_complex(pd.proper_divisibility_poset((2,) * 10))._certified_betti == (1022,)
 
 
 def test_order_complex_requires_bounded():
@@ -167,8 +169,8 @@ def test_face_guard(monkeypatch):
 def test_face_guard_applies_to_cached_faces(monkeypatch):
     cx = SimplicialComplex(range(4), [(0, 1, 2, 3)])
     # faces are closed again on every call, so the guard trips after a call
-    # that succeeded; no vertex of the boundary of the 3-simplex is
-    # dominated, so homology closes all of its faces
+    # that succeeded; homology closes all faces of the boundary of the
+    # 3-simplex
     sphere = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert len(cx.faces_by_dim()) == 4
     assert len(sphere.faces_by_dim()) == 3

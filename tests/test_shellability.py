@@ -365,7 +365,7 @@ def _routes_agree(p):
 
     The walk must give Betti numbers exactly when ``verify_rao`` passes the
     certificate, and ``homology`` of the order complex, which answers from
-    them, must equal collapse and reduction of the same facets.
+    them, must equal the reduction of the same facets.
     """
     ok, _ = pd.verify_rao(p.dual(), _dual_lex_certificate(p))
     assert (_dual_lex_betti(p) is not None) == ok
@@ -390,6 +390,8 @@ def test_certified_betti_match_reduction_on_the_dual_lex_corpus():
     ]
     for vec in corpus:
         assert _routes_agree(pd.proper_divisibility_poset(vec)), vec
+    # its checked copy is an 11-vertex simplex, reduced in full
+    assert _routes_agree(pd.chain(12))
 
 
 def test_certified_betti_match_reduction_on_products():
