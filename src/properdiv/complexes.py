@@ -1,7 +1,8 @@
 """Order complexes and elementary face statistics.
 
 A :class:`SimplicialComplex` stores its vertex labels and the list of
-inclusion-maximal faces (facets).  The empty complex (no vertices, no
+inclusion-maximal faces (facets), which a certified order complex lists
+only when they are first read.  The empty complex (no vertices, no
 facets) is a legitimate value: it is the order complex of a bounded
 poset with at most two elements, and its reduced Euler
 characteristic is -1.
@@ -14,7 +15,6 @@ from itertools import combinations
 
 from .errors import SizeGuardError
 from .posets import Poset
-from .shellability import _dual_lex_betti
 
 DEFAULT_FACE_GUARD = 2_000_000
 
@@ -38,13 +38,16 @@ class SimplicialComplex:
     ``SimplicialComplex(vertices, facets)`` checks facets from outside: it
     sorts and de-duplicates them and refuses empty facets, out-of-range
     vertices, facets inside others and vertices in no facet.
-    ``order_complex`` stores its maximal chains without these checks, and
-    with them the reduced Betti numbers its poset's certificate gives, which
-    ``homology`` answers from.  Every other complex has None there, and
-    ``homology`` closes and reduces all of its faces, held to the face guard.
+    ``order_complex`` stores its maximal chains without these checks.  When
+    its poset's certificate verifies, it keeps the reduced Betti numbers the
+    certificate gives, which ``homology`` answers from, and the poset, whose
+    chains it lists only when ``facets`` is first read; ``dim`` and
+    ``is_empty`` never list them.  Every other complex has no Betti numbers
+    there, and ``homology`` closes and reduces all of its faces, held to the
+    face guard.
     """
 
-    __slots__ = ("vertices", "facets", "_certified_betti")
+    __slots__ = ("vertices", "_facets", "_poset", "_certified_betti")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -73,26 +76,43 @@ class SimplicialComplex:
             raise ValueError(f"vertices [{shown}] lie in no facet")
         self._assemble(vertices, normalized)
 
-    def _assemble(self, vertices, facets, certified_betti=None):
+    def _assemble(self, vertices, facets, certified_betti=None, poset=None):
         # facets: sorted tuples, in range, pairwise incomparable, covering every
-        # vertex and listed in lexicographic order; they are stored as given
-        self.vertices, self.facets = vertices, facets
+        # vertex and listed in lexicographic order; they are stored as given.
+        # A certified order complex passes None and its bounded poset instead,
+        # and _chain_facets lists them on first read
+        self.vertices, self._facets, self._poset = vertices, facets, poset
         self._certified_betti = certified_betti
         return self
 
     # -- queries ---------------------------------------------------------
 
     def __repr__(self):
-        return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"
+        listed = "unlisted" if self._facets is None else len(self._facets)
+        return f"SimplicialComplex({len(self.vertices)} vertices, {listed} facets)"
+
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The facets, sorted; a certified order complex lists them on first read.
+
+        That listing is held to the face guard, read at that moment, and
+        raises :class:`SizeGuardError` beyond it.
+        """
+        if self._facets is None:
+            self._facets = _chain_facets(self._poset)
+            self._poset = None
+        return self._facets
 
     @property
     def is_empty(self) -> bool:
-        return not self.facets
+        return not self.vertices  # every vertex lies in a facet
 
     @property
     def dim(self) -> int:
         """Largest face dimension; -1 for the empty complex."""
-        return max((len(f) for f in self.facets), default=0) - 1
+        if self._facets is None:
+            return self._poset.length() - 2  # a longest chain without its ends
+        return max((len(f) for f in self._facets), default=0) - 1
 
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """All faces grouped by dimension, each list sorted lexicographically.
@@ -179,29 +199,57 @@ def _close_faces(facets) -> list[list[tuple[int, ...]]]:
     return [sorted(s) for s in levels]
 
 
+def _chain_facets(p: Poset) -> tuple[tuple[int, ...], ...]:
+    """The maximal chains of ``p``'s open part as sorted tuples, in lexicographic order.
+
+    More chains than the face guard raise :class:`SizeGuardError`.  Chains of
+    duals and parsed posets may run down the index order, so each is sorted.
+    """
+    chains = p.open_part().maximal_chains(max_chains=face_guard_default())
+    return tuple(sorted(tuple(sorted(c)) for c in chains))
+
+
+def _walk_fits(p: Poset) -> bool:
+    """Whether the certificate walk's state fits the face guard.
+
+    The walk holds one ``len(p)``-bit mask per element and, per cover y < x,
+    a row of falling-chain counts by length, at most the longest chain to x
+    plus one entries.  Both are counted, the masks in 64-bit words, before
+    any is built.
+    """
+    guard = face_guard_default()
+    if len(p) ** 2 // 64 > guard:
+        return False
+    level = p._longest_paths(p._topo, p.upcovers)
+    return sum((level[x] + 1) * len(d) for x, d in enumerate(p.downcovers)) <= guard
+
+
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of a bounded poset with bottom and top removed.
 
     Vertices are the open poset's elements (labels preserved); facets are its
     maximal chains, distinct and pairwise incomparable, stored unchecked but
-    sorted, since chains of duals and parsed posets may run down the index
-    order.  Returns the empty complex when nothing is left.
+    sorted.  Returns the empty complex when nothing is left.
 
-    Once the chains are listed, the dual-lex certificate of ``p.dual()`` is
-    checked, and if it verifies, the reduced Betti numbers it gives are kept
-    with the complex for ``homology`` (see the ``homology`` module).  That
-    walk reads each cover of ``p``, and every cover lies on a maximal chain,
-    so the face guard, which the chains have passed, bounds its steps.  It
-    also holds a bitmask of ``len(p)`` bits per element, and is skipped where
-    those, counted in 64-bit words, exceed the face guard too, as on a wide
-    poset such as P(2, ..., 2) with 14 coordinates.
+    Before any chain is listed, the dual-lex certificate of ``p.dual()`` is
+    checked (see the ``homology`` module).  If it verifies, the complex keeps
+    the reduced Betti numbers it gives, answers ``dim`` as ``p.length() - 2``
+    and lists its facets, held to the face guard, only when they are first
+    read: so ``order_complex(P(30, 30))`` returns, and reading its facets
+    raises :class:`SizeGuardError`.  Otherwise the facets are listed at once,
+    held to the same guard.  The walk is skipped where its bitmasks, counted
+    in 64-bit words, or its rows of counts exceed the face guard, as on
+    P(2, ..., 2) with 14 coordinates or P(60, 60); the chains then meet the
+    guard as well.
     """
+    from .shellability import _dual_lex_betti  # it reads the face guard from here
+
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
-    open_poset = p.open_part()
-    guard = face_guard_default()
-    chains = open_poset.maximal_chains(max_chains=guard)
-    facets = tuple(sorted(tuple(sorted(c)) for c in chains))
-    del chains  # the walk below may reuse their memory
-    betti = _dual_lex_betti(p) if facets and len(p) ** 2 <= 64 * guard else None
-    return SimplicialComplex.__new__(SimplicialComplex)._assemble(open_poset.labels, facets, betti)
+    ends = (p.bottom, p.top)
+    vertices = tuple(lab for i, lab in enumerate(p.labels) if i not in ends)
+    cx = SimplicialComplex.__new__(SimplicialComplex)
+    betti = _dual_lex_betti(p) if vertices and _walk_fits(p) else None
+    if betti is None:
+        return cx._assemble(vertices, _chain_facets(p))
+    return cx._assemble(vertices, None, betti, p)

@@ -44,15 +44,14 @@ x_0 < x_1 < ... of P-bar is falling iff every step x_i -> x_(i+1) after
 the first lands on an atom that condition (i) requires to come first in
 the interval above x_i: one lying above an atom of the interval above
 x_(i-1) that is ordered before x_i.  The walk that checks and counts
-reads each cover of P twice, and every cover lies on a maximal chain, so
-its steps are bounded by the chains, which the face guard bounds.  It
-also holds a bitmask of len(P) bits per element, and is skipped where
-those, counted in 64-bit words, exceed the same guard.  No face is
-closed on this route, so the face guard binds only the facets and the
-masks.  The counts are kept with the complex and :func:`homology`
-answers from them.  Every other complex, and an order complex whose
-certificate fails (the face poset of RP^2, with its torsion, is one) or
-is skipped, is reduced as given.
+runs before any chain is listed.  It holds a bitmask of len(P) bits per
+element and, per cover y < x, a row of counts with at most the longest
+chain to x plus one entries; it is skipped where the masks, counted in
+64-bit words, or the rows exceed the face guard.  The counts are kept
+with the complex and :func:`homology` answers from them: no chain is
+listed and no face closed on this route.  Every other complex, and an
+order complex whose certificate fails (the face poset of RP^2, with its
+torsion, is one) or is skipped, is reduced as given.
 """
 
 from __future__ import annotations
@@ -277,8 +276,9 @@ def homology(
     An order complex whose poset's dual-lex certificate verified carries its
     reduced Betti numbers, counted as falling chains: the summary is read
     from those, padded with 0 to the complex's dimension, torsion-free, and
-    1 higher in degree 0 when not reduced.  No face is closed then, so the
-    face guard does not apply (module docstring).
+    1 higher in degree 0 when not reduced.  Its facets are not read, so no
+    chain is listed and no face closed, and the face guard does not apply
+    (module docstring).
     """
     certified = k._certified_betti
     if certified is not None:

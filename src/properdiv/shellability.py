@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from . import posets
+from .complexes import face_guard_default
 from .errors import SizeGuardError
 from .posets import Poset, as_multidegree, proper_divisibility_poset
 
@@ -123,17 +124,26 @@ def _label_json(label):
 
 
 class _IntervalContext:
-    """Shared bitmask machinery for the intervals [x, top] of one poset."""
+    """Shared bitmask machinery for the intervals [x, top] of one poset.
+
+    It holds ``len(p)``-bit masks per element, so it refuses, before building
+    any, a poset whose masks in 64-bit words exceed the face guard: the rule
+    ``order_complex`` skips the certificate walk by.
+    """
 
     def __init__(self, p: Poset):
         if not p.is_bounded:
             raise ValueError("poset must be bounded")
+        guard = face_guard_default()
+        if len(p) ** 2 // 64 > guard:
+            raise SizeGuardError(
+                f"face-count guard {guard} exceeded by the bitmasks of {len(p)} elements"
+            )
         self.p = p
         self.up = p.upcovers
         self.above = p.above
-        self.strict_above = [
-            p.above[i] & ~(1 << i) for i in range(len(p))
-        ]
+        # each mask holds its own bit (reflexive); xor clears it
+        self.strict_above = [m ^ (1 << i) for i, m in enumerate(self.above)]
         self.up_mask = [sum(map((1).__lshift__, ups)) for ups in p.upcovers]
 
     def is_short(self, x: int) -> bool:

@@ -5,7 +5,8 @@ from pathlib import Path
 import properdiv as pd
 
 # size guards are module constants (PROPERDIV_GUARD_FACES for faces); this
-# keyword stays because order_complex bounds facets by the face guard with it
+# keyword stays because order_complex holds the chains it lists, at once or
+# when a certified complex's facets are first read, to the face guard with it
 _GUARD_KEYWORDS_ALLOWED = {("Poset.maximal_chains", "max_chains")}
 
 

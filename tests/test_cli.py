@@ -179,8 +179,8 @@ def test_homology_guard_exit(capsys):
 def test_homology_long_chain_answers_from_its_certificate(capsys, monkeypatch):
     # P(1500) is a chain: one maximal chain longer than the recursion limit,
     # and a 1499-vertex simplex whose faces are far beyond the face guard.
-    # Its 1,501**2 mask bits fit the guard, so the certificate answers and
-    # no face is closed.
+    # Its walk fits the guard (35,203 mask words, 1,127,250 count entries),
+    # so the certificate answers and no face is closed.
     monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
     assert pd.order_complex(pd.proper_divisibility_poset((1500,)))._certified_betti is not None
     code, out, err = run(capsys, "homology", "pdiv", "1500", "--reduced")
@@ -196,8 +196,8 @@ def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
     code, out, err = run(capsys, "homology", "prod", "bool 3", "bool 3")
     assert (code, out) == (3, "")
     assert err == "error: face-count guard 150 exceeded\n"
-    # B2 xp B6 (3,194 chains, 14,048 faces) is certified: the face guard
-    # binds only the reduction, so its chains are all it must pass
+    # B2 xp B6 (3,194 chains, 14,048 faces) is certified: its walk (564 mask
+    # words, 3,394 count entries) is all the face guard must pass
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5000")
     code, out, err = run(capsys, "homology", "prod", "bool 2", "bool 6")
     assert (code, out, err) == (0, "betti (non-reduced): 15 30 40 30 13\n", "")
@@ -360,6 +360,19 @@ def test_rao_dual_lex_tree_guard(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: certificate tree has 5414619738 nodes (guard 1000000)\n"
+
+
+def test_rao_dual_lex_mask_guard(capsys, monkeypatch):
+    # the verifier holds bitmasks of 17 bits for the 17 elements of P(4, 4),
+    # 17**2 // 64 = 4 words; it refuses before building one, after the
+    # certificate is written
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "3")
+    code, out, err = run(capsys, "rao", "--dual-lex", "4,4")
+    assert code == 3 and "verified" not in out
+    assert err == "error: face-count guard 3 exceeded by the bitmasks of 17 elements\n"
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "4")
+    code, out, err = run(capsys, "rao", "--dual-lex", "4,4")
+    assert (code, err) == (0, "") and out.endswith("\nverified: true\n")
 
 
 def test_homology_guard_counts_cover_candidates(capsys):

@@ -52,13 +52,18 @@ def test_order_complex_empty_cases():
 
 def _assert_order_complex_matches_the_checking_constructor(p):
     # order_complex stores maximal chains unchecked; chains of duals and of
-    # parsed posets run down the index order, so each is sorted first
+    # parsed posets run down the index order, so each is sorted first.  A
+    # certified complex lists them on first read, and answers dim and
+    # is_empty before that
     for q in (p, p.dual()):
         open_poset = q.open_part()
         checked = SimplicialComplex(open_poset.labels, open_poset.maximal_chains())
         trusted = pd.order_complex(q)
+        dim, empty = trusted.dim, trusted.is_empty
+        assert (trusted._facets is None) == (trusted._certified_betti is not None)
         assert trusted.vertices == checked.vertices
         assert trusted.facets == checked.facets
+        assert (dim, empty) == (trusted.dim, trusted.is_empty) == (checked.dim, checked.is_empty)
         assert checked._certified_betti is None
 
 
@@ -82,18 +87,54 @@ def test_order_complex_of_random_posets_matches_the_checking_constructor(p):
     _assert_order_complex_matches_the_checking_constructor(p)
 
 
-def test_order_complex_walks_no_bitmasks_wider_than_its_facets(monkeypatch):
-    # P(2, ..., 2) is a bottom, 2**n - 1 atoms and a top.  For n = 10 its
-    # 1,025 bitmasks of up to 1,025 bits take more 64-bit words than a face
-    # guard of 10,000, so the certificate is not checked and no bitmask is
-    # built; the 1,023 one-vertex facets pass that guard and are reduced
-    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "10000")
+def _certified(vec):
+    return pd.order_complex(pd.proper_divisibility_poset(vec))._certified_betti
+
+
+def test_order_complex_walks_only_within_the_face_guard(monkeypatch):
+    # P(2, ..., 2) with 10 coordinates is a bottom, 1,023 atoms and a top:
+    # its 1,025 bitmasks take 1,025**2 // 64 = 16,416 words and its rows of
+    # counts 5,115 entries.  One word fewer in the guard skips the walk, builds
+    # no bitmask and lists the 1,023 one-vertex facets, which reduce
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "16415")
     p = pd.proper_divisibility_poset((2,) * 10)
     cx = pd.order_complex(p)
-    assert cx._certified_betti is None and p._below is None
+    assert cx._certified_betti is None and p._below is None and len(cx._facets) == 1023
     assert pd.homology(cx, reduced=True).betti == (1022,)
-    monkeypatch.delenv("PROPERDIV_GUARD_FACES")
-    assert pd.order_complex(pd.proper_divisibility_poset((2,) * 10))._certified_betti == (1022,)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "16416")
+    assert _certified((2,) * 10) == (1022,)
+    # P(4, 4): 17 elements in 4 words, but rows of 130 entries; its 19
+    # chains and 63 faces fit a guard of 129, under which it reduces
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "129")
+    cx = _pdiv_complex((4, 4))
+    assert cx._certified_betti is None and cx._facets is not None
+    assert pd.homology(cx, reduced=True).betti == (0, 4, 0)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "130")
+    assert _certified((4, 4)) == (0, 4)
+
+
+def test_homology_of_a_certified_complex_lists_no_chain(monkeypatch):
+    monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
+    cx = _pdiv_complex((14, 14))  # 1,729,637 maximal chains
+    s = pd.homology(cx, reduced=True)
+    assert s.betti == tuple(pd.formulas.betti_rank(14, 14, i) for i in range(13))
+    assert cx._facets is None and cx.dim == 12 and not cx.is_empty
+    assert repr(cx) == "SimplicialComplex(195 vertices, unlisted facets)"
+
+
+def test_certified_complex_past_the_chain_guard_answers_and_refuses_its_facets(monkeypatch):
+    # P(30, 30) has more maximal chains than the default guard, which its
+    # walk fits (12,684 mask words, 552,539 count entries).  Its facets are
+    # read under a guard of 100,000, read when they are, so that the chains
+    # listed before the refusal stay few
+    monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
+    cx = _pdiv_complex((30, 30))
+    s = pd.homology(cx, reduced=True)
+    assert s.betti == tuple(pd.formulas.betti_rank(30, 30, i) for i in range(29))
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "100000")
+    with pytest.raises(pd.SizeGuardError, match="more than 100000 maximal chains"):
+        cx.facets
+    assert cx._facets is None and cx.dim == 28
 
 
 def test_order_complex_requires_bounded():
