@@ -213,14 +213,16 @@ def _walk_fits(p: Poset) -> bool:
     """Whether the certificate walk's state fits the face guard.
 
     The walk holds one ``len(p)``-bit mask per element and, per cover y < x,
-    a row of falling-chain counts by length, at most the longest chain to x
-    plus one entries.  Both are counted, the masks in 64-bit words, before
-    any is built.
+    a row of falling-chain counts by length packed into one integer, at most
+    the longest chain to x plus one slots.  The bound counts those slots,
+    one per count as when each row was a list, whatever their width, so it
+    admits the same posets.  Both are counted, the masks in 64-bit words,
+    before any is built.
     """
     guard = face_guard_default()
     if len(p) ** 2 // 64 > guard:
         return False
-    level = p._longest_paths(p._topo, p.upcovers)
+    level = p._longest_paths(p._topo, p.downcovers)
     return sum((level[x] + 1) * len(d) for x, d in enumerate(p.downcovers)) <= guard
 
 

@@ -212,15 +212,36 @@ class Poset:
 
     def length(self) -> int:
         """Length of the longest chain (number of covers along it)."""
-        return max(self._longest_paths(self._topo, self.upcovers), default=0)
+        return max(self._longest_paths(self._topo, self.downcovers), default=0)
 
-    def _longest_paths(self, order, covers) -> list[int]:
-        # most covers on a path to each element; ``order`` is topological for ``covers``
+    def _longest_paths(self, order, preds) -> list[int]:
+        # most covers on a path to each element, pulled from its ``preds``;
+        # ``order`` lists every element after its preds.  A comparison per
+        # pred runs faster here than max(map(level.__getitem__, ...))
         level = [0] * len(self.labels)
         for i in order:
-            for j in covers[i]:
-                level[j] = max(level[j], level[i] + 1)
+            most = -1
+            for j in preds[i]:
+                if level[j] > most:
+                    most = level[j]
+            level[i] = most + 1
         return level
+
+    def _chain_counts(self) -> list[int]:
+        """Per element, the saturated chains from a minimal element up to it.
+
+        A minimal element has one; any other the sum over its down-covers.
+        Every count of chains ending at an element, by length or otherwise,
+        is at most its entry here.
+        """
+        down = self.downcovers
+        counts = [0] * len(self.labels)
+        for i in self._topo:
+            total = 0
+            for j in down[i]:
+                total += counts[j]
+            counts[i] = total or 1  # no down-covers: minimal
+        return counts
 
     def atoms(self) -> tuple[int, ...]:
         """Indices covering the bottom element, in index order."""
@@ -263,10 +284,14 @@ class Poset:
 
         Each chain runs from a minimal to a maximal element along covers; its
         length is ``len(chain) - 1``.  ``max_chains`` defaults to DEFAULT_CHAIN_GUARD.
+        The chains are counted per element first, so more than ``max_chains``
+        raise :class:`SizeGuardError` before any is listed.
         """
         if max_chains is None:
             max_chains = DEFAULT_CHAIN_GUARD
         upcovers = self.upcovers
+        if sum(c for c, ups in zip(self._chain_counts(), upcovers) if not ups) > max_chains:
+            raise SizeGuardError(f"more than {max_chains} maximal chains")
         chains = []
         # depth-first with a stack of cover iterators, one per element of
         # the path below its end: chains may be longer than the
@@ -283,10 +308,6 @@ class Poset:
                     node = next(it)
                     pending.append(it)
                     continue
-                if len(chains) >= max_chains:
-                    raise SizeGuardError(
-                        f"more than {max_chains} maximal chains"
-                    )
                 chains.append(tuple(path))
                 path.pop()
                 node = None
@@ -326,8 +347,8 @@ class Poset:
         # seeded with height and depth, a chain settles in one round, not n/2
         n = len(self.labels)
         down = self.downcovers
-        height = self._longest_paths(self._topo, self.upcovers)
-        depth = self._longest_paths(reversed(self._topo), down)
+        height = self._longest_paths(self._topo, down)
+        depth = self._longest_paths(reversed(self._topo), self.upcovers)
         colors = list(zip(height, depth, map(len, down), map(len, self.upcovers)))
         while True:
             sigs = [

@@ -31,13 +31,20 @@ to (0, 0) along the allowed steps.  The number of such paths with l steps
 from x is the sum, over the allowed steps x -> k, of those with l - 1
 steps from k; filled in for every element in a linear extension from the
 bottom up, in exact integers, this is the count the walk would reach.
+An element's counts by length form one integer, sum_l c_l * 2**(w*l), so
+they are summed over the steps by big-integer additions and moved one
+step longer by a shift by w; only the top's row is unpacked.  The slot
+width w is the bit length of the largest number of saturated chains
+from the bottom up to any element (``Poset._chain_counts``).  The chains
+a row counts, of all lengths together, are some of those up to its
+element, so neither a slot nor a partial sum of rows reaches 2**w, and no
+slot carries into the next.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from . import posets
 from .complexes import face_guard_default
@@ -141,9 +148,12 @@ class _IntervalContext:
             )
         self.p = p
         self.up = p.upcovers
+        # reflexive up-sets serve as strict ones: a prefix mask joins those
+        # of earlier atoms of the interval, which are distinct from and
+        # incomparable to a later atom, so their own bits meet neither its
+        # up-set nor its up-covers (verify_rao checks that an ordering is a
+        # permutation of the atoms before it uses one)
         self.above = p.above
-        # each mask holds its own bit (reflexive); xor clears it
-        self.strict_above = [m ^ (1 << i) for i, m in enumerate(self.above)]
         self.up_mask = [sum(map((1).__lshift__, ups)) for ups in p.upcovers]
 
     def is_short(self, x: int) -> bool:
@@ -151,8 +161,8 @@ class _IntervalContext:
         return self.above[x].bit_count() <= 2
 
     def condition_ii_ok(self, atom: int, prefix_mask: int) -> bool:
-        """Condition (ii) for ``atom`` given the earlier atoms' strict up-sets."""
-        trigger = self.strict_above[atom] & prefix_mask
+        """Condition (ii) for ``atom`` given the earlier atoms' up-sets."""
+        trigger = self.above[atom] & prefix_mask
         if not trigger:
             return True
         witness = 0
@@ -175,15 +185,13 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     """
     ctx = _IntervalContext(p)
     index = {lab: i for i, lab in enumerate(p.labels)}
-    labels, up, above, strict_above, up_mask = (
-        p.labels, ctx.up, ctx.above, ctx.strict_above, ctx.up_mask
-    )
+    labels, up, above, up_mask = p.labels, ctx.up, ctx.above, ctx.up_mask
     # depth-first on an explicit stack of frames [memo key, x, children,
     # ordering, position, prefix mask], one per open interval: certificates
     # nest once per step of a maximal chain, deeper than the interpreter's
     # recursion limit.  An interval is keyed by x, the bitmask of the atoms
     # that must lead and the certificate node; its frame's position is the
-    # next atom to check and its prefix mask the earlier atoms' strict up-sets.
+    # next atom to check and its prefix mask the earlier atoms' up-sets.
     memo: dict = {}
     stack: list = []
     x, node, required = p.bottom, cert, 0
@@ -228,14 +236,14 @@ def verify_rao(p: Poset, cert: RaoCertificate):
                     stack.pop()
                     memo[key] = result
                     continue
-                prefix_mask |= strict_above[ordering[j - 1]]
+                prefix_mask |= above[ordering[j - 1]]
             if j == len(ordering):
                 stack.pop()
                 result = memo[key] = (True, None)
                 continue
             atom = ordering[j]
-            # condition (ii) is checked only where an earlier atom's strict up-set meets atom's
-            if strict_above[atom] & prefix_mask and not ctx.condition_ii_ok(atom, prefix_mask):
+            # condition (ii) is checked only where an earlier atom's up-set meets atom's
+            if above[atom] & prefix_mask and not ctx.condition_ii_ok(atom, prefix_mask):
                 stack.pop()
                 result = memo[key] = (
                     False,
@@ -296,7 +304,7 @@ def search_rao(p: Poset):
                     continue
                 ordering.append(atom)
                 children.append(child)
-                if extend(prefix_mask | ctx.strict_above[atom]):
+                if extend(prefix_mask | ctx.above[atom]):
                     return True
                 ordering.pop()
                 children.pop()
@@ -356,23 +364,28 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     """Reduced Betti numbers of Δ(poset) from the dual-lex certificate of its dual, or None.
 
     Degree i counts the falling maximal chains of ``poset.dual()`` with
-    i + 2 steps (see the ``homology`` module); the result is None when a
-    condition ``verify_rao`` checks fails.  The certificate is read from
-    covers, never built: the atoms of the dual's interval above x are x's
-    down-covers in descending index order, and ``poset.below`` gives the
-    dual's up-sets.  What a certificate node is checked for depends only on
-    its element, except condition (i), whose required mask the parent's
-    prefix fixes; and once every interval passes, every element has been
-    entered.  So checking each element's atoms once, in any order, gives
-    ``verify_rao``'s verdict.  The atoms condition (i) requires lead the
-    descending order, so the required mask is fixed by its size.
+    i + 2 steps (see the ``homology`` module), up to the last nonzero
+    degree; the result is None when a condition ``verify_rao`` checks fails.
+    The certificate is read from covers, never built: the atoms of the
+    dual's interval above x are x's down-covers in descending index order,
+    and ``poset.below`` gives the dual's up-sets.  What a certificate node
+    is checked for depends only on its element, except condition (i), whose
+    required mask the parent's prefix fixes; and once every interval passes,
+    every element has been entered.  So checking each element's atoms once,
+    in any order, gives ``verify_rao``'s verdict.  The atoms condition (i)
+    requires lead the descending order, so the required mask is fixed by
+    its size.
 
     A chain is falling iff each step after the first lands on an atom in the
     required mask of the interval it leaves.  ``sums[x][m]`` counts, by
     length, the falling chains from x down to the bottom whose first step
     lands on one of x's first m atoms: the memo on (x, required mask) a walk
-    from the top would keep, filled in from the bottom up.  Each pass reads
-    every cover of ``poset`` once.
+    from the top would keep, filled in from the bottom up.  It is one
+    integer holding the chains of l steps in the w-bit slot l (see the
+    module docstring), so an atom's row, one step longer, is added by
+    ``acc += row << w``.  Its chains all run from the bottom up to x, so
+    none of its slots can carry into the next.  Each pass reads every cover
+    of ``poset`` once, and only the top's row is unpacked.
     """
     down, below = poset.downcovers, poset.below
     down_mask = [sum(map((1).__lshift__, d)) for d in down]
@@ -400,15 +413,22 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
                     return None
             sizes.append(required.bit_count())
             prefix |= below[atom]
+    width = max(poset._chain_counts()).bit_length()
     sums: list = [None] * len(poset)
-    sums[poset.bottom] = [[1]]  # the chain of no steps; the bottom has no atoms
+    sums[poset.bottom] = [1]  # the chain of no steps; the bottom has no atoms
     for x in poset._topo[1:]:  # a linear extension starts at the bottom
-        acc: list[int] = []
+        acc = 0
         row = sums[x] = [acc]
         for atom, size in zip(reversed(down[x]), leads[x]):
-            acc = [*map(sum, zip_longest(acc, (0, *sums[atom][size]), fillvalue=0))]
+            acc += sums[atom][size] << width
             row.append(acc)
-    return tuple(sums[poset.top][-1][2:])
+    return tuple(_unpack(sums[poset.top][-1], width)[2:])
+
+
+def _unpack(row: int, width: int) -> list[int]:
+    """The ``width``-bit slots of ``row``, lowest first, up to its last nonzero one."""
+    mask = (1 << width) - 1
+    return [row >> shift & mask for shift in range(0, row.bit_length(), width)]
 
 
 # -- falling chains (two coordinates) ----------------------------------------
@@ -483,23 +503,25 @@ def falling_chains(
 def _falling_chain_counts(a: int, b: int) -> list[int]:
     """Entry k: the number of falling chains of the dual of P(a, b) with k steps.
 
-    Counted per element (see the module docstring), so no chain is built
-    and the chain guard does not apply.
+    Counted per element in packed rows (see the module docstring), up to
+    the longest falling chain, so no chain is built and the chain guard does
+    not apply.
     """
     if not (2 <= a <= b):
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
     poset = proper_divisibility_poset((a, b))
-    bottom = poset.bottom
-    counts: list = [None] * len(poset)
-    for x in poset._topo:
-        down = poset.downcovers[x]
-        if x == bottom:
-            counts[x] = [1]
-            continue
+    bottom, down = poset.bottom, poset.downcovers
+    width = max(poset._chain_counts()).bit_length()
+    counts = [0] * len(poset)
+    counts[bottom] = 1
+    for x in poset._topo[1:]:
+        d = down[x]
+        row = 0
         # every down-cover but the decrement, unless the decrement is (0, 0)
-        steps = down if down[-1] == bottom else down[:-1]
-        counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
-    return counts[poset.top]
+        for k in d if d[-1] == bottom else d[:-1]:
+            row += counts[k]
+        counts[x] = row << width
+    return _unpack(counts[poset.top], width)
 
 
 def betti_from_falling_chains(a: int, b: int) -> tuple[int, ...]:

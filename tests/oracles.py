@@ -5,13 +5,16 @@ comes from chain counting, invariant factors from gcds of minors, ranks
 from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
 proper products from comparing all pairs, falling chains from filtering
-every maximal chain by their definition.  The one exception is
-``verify_rao_by_generators``, the verifier's earlier form with one
-generator per interval, kept as the reference for its frame walk.
+every maximal chain by their definition.  The exceptions are earlier
+forms of the library's own code, kept as references for their
+replacements: ``verify_rao_by_generators``, the verifier with one
+generator per interval, for its frame walk, and
+``dual_lex_betti_by_lists`` and ``falling_chain_counts_by_lists``, which
+keep each row of falling-chain counts as a list, for the packed rows.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import gcd
 
 from properdiv import posets
@@ -232,6 +235,7 @@ def verify_rao_by_generators(p, cert):
     """``verify_rao`` as one generator per interval, each sent its children's results."""
     ctx = _IntervalContext(p)
     index = {lab: i for i, lab in enumerate(p.labels)}
+    strict_above = [m ^ (1 << i) for i, m in enumerate(ctx.above)]
 
     def label_of(x):
         return p.labels[x]
@@ -275,7 +279,7 @@ def verify_rao_by_generators(p, cert):
             ok, why = yield atom, node.children[j], ctx.f_atoms(atom, prefix_mask)
             if not ok:
                 return False, why
-            prefix_mask |= ctx.strict_above[atom]
+            prefix_mask |= strict_above[atom]
         return True, None
 
     memo = {}
@@ -294,3 +298,55 @@ def verify_rao_by_generators(p, cert):
         if result is None:
             stack.append((key, check(x, node, required_first)))
     return result
+
+
+def dual_lex_betti_by_lists(poset):
+    """``_dual_lex_betti`` with every row of counts a list, one entry per length.
+
+    Its tuple may end in zeros where a walk stops short of the bottom.
+    """
+    down, below = poset.downcovers, poset.below
+    down_mask = [sum(map((1).__lshift__, d)) for d in down]
+    leads = [None] * len(poset)
+    for x in reversed(poset._topo):
+        prefix = 0
+        sizes = leads[x] = []
+        for atom in reversed(down[x]):
+            required = down_mask[atom] & prefix
+            rest = down_mask[atom] ^ required
+            if required and rest.bit_length() > (required & -required).bit_length():
+                return None
+            trigger = below[atom] & prefix
+            if trigger:
+                witness = 0
+                for q in down[atom]:
+                    if required >> q & 1:
+                        witness |= below[q]
+                if trigger & ~witness:
+                    return None
+            sizes.append(required.bit_count())
+            prefix |= below[atom]
+    sums = [None] * len(poset)
+    sums[poset.bottom] = [[1]]
+    for x in poset._topo[1:]:
+        acc = []
+        row = sums[x] = [acc]
+        for atom, size in zip(reversed(down[x]), leads[x]):
+            acc = [*map(sum, zip_longest(acc, (0, *sums[atom][size]), fillvalue=0))]
+            row.append(acc)
+    return tuple(sums[poset.top][-1][2:])
+
+
+def falling_chain_counts_by_lists(a, b):
+    """``_falling_chain_counts`` with every row of counts a list; it may end in zeros."""
+    poset = posets.proper_divisibility_poset((a, b))
+    bottom = poset.bottom
+    counts = [None] * len(poset)
+    for x in poset._topo:
+        down = poset.downcovers[x]
+        if x == bottom:
+            counts[x] = [1]
+            continue
+        steps = down if down[-1] == bottom else down[:-1]
+        counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
+    return counts[poset.top]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product as cartesian
 from math import prod
 
@@ -421,6 +422,37 @@ def test_maximal_chains_longer_than_recursion_limit():
 def test_maximal_chain_guard():
     with pytest.raises(pd.SizeGuardError):
         pd.boolean_lattice(5).maximal_chains(max_chains=10)
+
+
+@given(bounded_posets(max_mid=7))
+@settings(max_examples=60, deadline=None)
+def test_maximal_chain_guard_is_exact(p):
+    # open parts have several minimal and maximal elements, or isolated ones
+    for q in (p, p.open_part()):
+        chains = q.maximal_chains()
+        n = len(chains)
+        if not n:
+            continue
+        counts = q._chain_counts()
+        assert sum(c for c, ups in zip(counts, q.upcovers) if not ups) == n
+        assert q.maximal_chains(max_chains=n) == chains
+        with pytest.raises(pd.SizeGuardError, match=f"^more than {n - 1} maximal chains$"):
+            q.maximal_chains(max_chains=n - 1)
+        assert q.length() == max(map(len, chains)) - 1
+
+
+def test_maximal_chain_guard_refuses_before_listing():
+    # P(30, 30) has 3.4 * 10**14 maximal chains of 31 elements: listing the
+    # 10**5 the guard admits before refusing would hold about 30 MB
+    p = pd.proper_divisibility_poset((30, 30))
+    tracemalloc.start()
+    try:
+        with pytest.raises(pd.SizeGuardError, match="^more than 100000 maximal chains$"):
+            p.maximal_chains(max_chains=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_p44_bounded_chain_lengths():

@@ -8,9 +8,20 @@ from hypothesis import given, settings
 import properdiv as pd
 from properdiv import posets
 from properdiv.cli import REFERENCE_TABLE
-from properdiv.shellability import RaoCertificate, _dual_lex_betti, _dual_lex_certificate
+from properdiv.formulas import betti_rank
+from properdiv.shellability import (
+    RaoCertificate,
+    _dual_lex_betti,
+    _dual_lex_certificate,
+    _falling_chain_counts,
+)
 
-from oracles import falling_chains_by_definition, verify_rao_by_generators
+from oracles import (
+    dual_lex_betti_by_lists,
+    falling_chain_counts_by_lists,
+    falling_chains_by_definition,
+    verify_rao_by_generators,
+)
 from strategies import RP2_FACETS, bounded_posets, face_poset, small_factors
 
 
@@ -360,15 +371,33 @@ def test_duality_asymmetry_witness():
 # -- Betti numbers from the dual-lex certificate ----------------------------------
 
 
+def _trimmed(counts):
+    """``counts`` without its trailing zeros, as a tuple; None stays None."""
+    if counts is None:
+        return None
+    counts = tuple(counts)
+    while counts and not counts[-1]:
+        counts = counts[:-1]
+    return counts
+
+
+def _packed_matches_lists(p):
+    """The packed walk's Betti numbers, after checking them against the list rows."""
+    betti = _dual_lex_betti(p)
+    assert betti == _trimmed(dual_lex_betti_by_lists(p))
+    return betti
+
+
 def _routes_agree(p):
     """``verify_rao``'s verdict on p's dual-lex certificate, after checking the walk against it.
 
-    The walk must give Betti numbers exactly when ``verify_rao`` passes the
-    certificate, and ``homology`` of the order complex, which answers from
-    them, must equal the reduction of the same facets.
+    The walk must match its list-row reference, give Betti numbers exactly
+    when ``verify_rao`` passes the certificate, and ``homology`` of the
+    order complex, which answers from them, must equal the reduction of the
+    same facets.
     """
     ok, _ = pd.verify_rao(p.dual(), _dual_lex_certificate(p))
-    assert (_dual_lex_betti(p) is not None) == ok
+    assert (_packed_matches_lists(p) is not None) == ok
     cx = pd.order_complex(p)
     assert (cx._certified_betti is not None) == (ok and not cx.is_empty)
     checked = pd.SimplicialComplex(cx.vertices, cx.facets)
@@ -401,8 +430,26 @@ def test_certified_betti_match_reduction_on_products():
     for i, j, want in REFERENCE_TABLE:
         if i == 2:
             p = pd.proper_product(pd.boolean_lattice(i), pd.boolean_lattice(j))
-            assert _dual_lex_betti(p) == (want[0] - 1,) + want[1:]
+            assert _packed_matches_lists(p) == (want[0] - 1,) + want[1:]
             assert pd.homology(pd.order_complex(p), torsion=False).betti == want
+
+
+def test_packed_rows_on_wide_and_narrow_slots():
+    # P(40, 40): slots of 66 bits, wider than a machine word
+    p = pd.proper_divisibility_poset((40, 40))
+    assert max(p._chain_counts()).bit_length() == 66
+    betti = _packed_matches_lists(p)
+    assert betti + (0,) * (39 - len(betti)) == tuple(betti_rank(40, 40, i) for i in range(39))
+    # five atoms: five chains, so slots of 3 bits, all of which the top's
+    # four falling chains fill
+    p = pd.Poset(["0", *"abcde", "1"], [[1, 2, 3, 4, 5], *[[6]] * 5, []])
+    assert max(p._chain_counts()).bit_length() == 3
+    assert _packed_matches_lists(p) == (4,)
+    # the chain P(1500): one chain up to each element, slots of 1 bit
+    p = pd.proper_divisibility_poset((1500,))
+    assert max(p._chain_counts()) == 1
+    assert _packed_matches_lists(p) == ()
+    assert _packed_matches_lists(face_poset(pd.SimplicialComplex(range(6), RP2_FACETS))) is None
 
 
 def test_certified_betti_on_three_coordinates():
@@ -581,6 +628,16 @@ def test_falling_chain_counts_match_the_listing():
             listed = Counter(c.length for c in pd.falling_chains(a, b))
             counts = pd.betti_from_falling_chains(a, b)
             assert Counter({i + 2: c for i, c in enumerate(counts) if c}) == listed, (a, b)
+
+
+def test_packed_falling_chain_counts_match_the_list_rows():
+    for a in range(2, 13):
+        for b in range(a, 13):
+            assert _falling_chain_counts(a, b) == list(_trimmed(falling_chain_counts_by_lists(a, b)))
+    # slots of 66 bits
+    counts = _falling_chain_counts(40, 40)
+    assert counts == list(_trimmed(falling_chain_counts_by_lists(40, 40)))
+    assert counts + [0] * (41 - len(counts)) == [0, 0] + [betti_rank(40, 40, i) for i in range(39)]
 
 
 def _disagreements(betti, largest):
