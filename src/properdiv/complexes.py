@@ -202,11 +202,18 @@ def _close_faces(facets) -> list[list[tuple[int, ...]]]:
 def _chain_facets(p: Poset) -> tuple[tuple[int, ...], ...]:
     """The maximal chains of ``p``'s open part as sorted tuples, in lexicographic order.
 
-    More chains than the face guard raise :class:`SizeGuardError`.  Chains of
-    duals and parsed posets may run down the index order, so each is sorted.
+    They are ``p``'s chains from bottom to top without their ends, in the
+    open part's numbering, which skips the two ends: element i becomes
+    i - (i > bottom) - (i > top).  More chains than the face guard raise
+    :class:`SizeGuardError`.  Chains of duals and parsed posets may run
+    down the index order, so each is sorted.
     """
-    chains = p.open_part().maximal_chains(max_chains=face_guard_default())
-    return tuple(sorted(tuple(sorted(c)) for c in chains))
+    if len(p) <= 2:  # the top covers the bottom or is the bottom: no open part
+        return ()
+    bottom, top = p.bottom, p.top
+    chains = p.maximal_chains(max_chains=face_guard_default())
+    renumber = [i - (i > bottom) - (i > top) for i in range(len(p))].__getitem__
+    return tuple(sorted(tuple(sorted(map(renumber, c[1:-1]))) for c in chains))
 
 
 def _walk_fits(p: Poset) -> bool:

@@ -26,14 +26,27 @@ exists iff no x_k != 0_k is covered by y_k.  If xs is the bottom tuple,
 zs != xs needs some 0_k < z_k < y_k, which exists iff some y_k is
 neither 0_k nor an atom.
 
+Rule (a) is a box difference.  Fix ys; let S_k be the strict down-set of
+y_k, or {0_k} if y_k = 0_k, and C_k the down-covers of y_k other than 0_k.
+Then the down-covers of ys by rule (a) are prod_k S_k minus
+prod_k (S_k - C_k).  Proof: xs < ys iff every x_k lies in S_k, and rule (a)
+asks for some x_k in C_k, as 0_k lies in no C_k.  ``_box_difference``
+walks that difference from the last coordinate back, in mixed-radix index
+offsets: a value of x_k in C_k is followed by all of the later
+coordinates' box, any other value by their difference.  So each cover
+comes out once, already in index order, with no de-duplication or
+sorting; P(a) reads the same order off two ranges where at most two
+coordinates count.
+
 Rule-built posets are assembled from such covers directly, without the
 checks that ``Poset(...)`` applies to covers from outside.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
+from itertools import chain as _concat
+from itertools import islice as _islice
 from itertools import product as _cartesian
 from math import prod
 
@@ -572,10 +585,17 @@ def proper_divisibility_poset(a) -> Poset:
     Covers are read off rules (a) and (b) of the module docstring for the
     chains C_{a_k}: y covers x iff either x_k = y_k - 1 >= 1 for some k and
     every other x_j is below y_j (or 0 where y_j = 0), or x = 0 != y and
-    every y_k is 0 or 1.  ``proper_product`` of those chains builds the same
-    poset field for field and is the tests' reference.  The element guard
-    bounds the elements and the candidate covers, which are counted in
-    closed form before any member is built.
+    every y_k is 0 or 1.  In the box difference of the module docstring,
+    S_k = {0, ..., y_k - 1} and C_k = {y_k - 1} where y_k >= 2, and
+    S_k = {0}, which adds nothing, elsewhere; proof as there.  With one
+    such coordinate the only cover lowers it by one.  With two, j < k, the
+    covers are x_j < y_j - 1 with x_k = y_k - 1, then x_j = y_j - 1 with
+    any x_k < y_k: two arithmetic ranges of indices.  With more, the
+    difference is walked as for products.  ``proper_product``
+    of those chains builds the same poset field for field and is the
+    tests' reference.  The element guard bounds the elements and the
+    candidate covers, which are counted in closed form before any member
+    is built.
     """
     a = as_multidegree(a)
     radix = [max(ak, 1) for ak in a]
@@ -602,30 +622,30 @@ def proper_divisibility_poset(a) -> Poset:
     members = list(_cartesian(*map(range, radix)))
     if any(a):
         members.append(a)
+    ids = tuple(range(len(members)))  # slices of it share the index objects
     ups = [[] for _ in members]
     downs = [()]  # index 0 is the bottom
     for i in range(1, len(members)):
-        # rule (a) acts in the coordinates with y_k >= 2; x_j = 0 where y_j <= 1
-        big = [(stride[k], yk) for k, yk in enumerate(members[i]) if yk >= 2]
+        # the box difference over the coordinates with y_k >= 2, as offsets
+        # of y_k - 1 and strides; every other S_k is {0} and adds nothing
+        big = [((y - 1) * s, s) for y, s in zip(members[i], stride) if y >= 2]
         if not big:
             down = (0,)  # rule (b)
-        elif len(big) == 1:  # the single sum is y_k lowered by one, the rest 0
-            s, yk = big[0]
-            down = ((yk - 1) * s,)
-        else:
-            found = set()
-            for k, (s, yk) in enumerate(big):
-                sums = [(yk - 1) * s]
-                for j, (t, yj) in enumerate(big):
-                    if j != k:
-                        sums = [b + o for b in sums for o in range(0, yj * t, t)]
-                found.update(sums)
-            down = tuple(sorted(found))
+        elif len(big) == 1:
+            hi = big[0][0]
+            down = ids[hi : hi + 1]
+        elif len(big) == 2:
+            # x_j < y_j - 1 with x_k = y_k - 1, then x_j = y_j - 1 with any x_k
+            (hi, s), (lo, t) = big
+            down = ids[lo : hi + lo : s] + ids[hi : hi + lo + t : t]
+        else:  # C_k = {y_k - 1} and S_k = {0, ..., y_k - 1}, as offsets
+            row = [((hi,), range(0, hi + s, s)) for hi, s in big]
+            down = tuple(_box_difference(row))
         downs.append(down)
         for x in down:
             ups[x].append(i)  # i ascends, so each list is sorted
     return Poset.__new__(Poset)._assemble(
-        tuple(members), tuple(map(tuple, ups)), tuple(downs), tuple(range(len(members)))
+        tuple(members), tuple(map(tuple, ups)), tuple(downs), ids
     )
 
 
@@ -653,9 +673,15 @@ def proper_product(*factors: Poset) -> Poset:
 def _product_poset(factors) -> Poset:
     """Proper product of bounded factors, covers by rules (a) and (b) above.
 
-    Under rule (a), x_k runs over the down-covers of y_k other than 0_k and
-    every other x_j over {0_j} if y_j = 0_j, else over the strict down-set
-    of y_j.
+    Rule (a) gives the box difference prod_j S_j minus prod_j (S_j - C_j)
+    of the module docstring, where S_j is the strict down-set of y_j, or
+    {0_j} if y_j = 0_j, and C_j the down-covers of y_j other than 0_j;
+    proof as there.  Each factor element is mapped once to an index offset,
+    so that a tuple's index is the sum of its coordinates' offsets.  S_j
+    comes from the factor's strict down-sets, built only if another factor
+    has covers under rule (a) below its top, and is multiplied into the box
+    of the later coordinates only where an earlier coordinate's C_j is
+    nonempty.
     """
     n = len(factors)
     bottoms = tuple(p.bottom for p in factors)
@@ -663,27 +689,38 @@ def _product_poset(factors) -> Poset:
     # members other than the top tuple sit below the top in each coordinate,
     # or at it where the factor has one element
     coords = [[y for y in range(len(p)) if y != p.top] or [p.top] for p in factors]
-    size = prod(len(c) for c in coords) + (tops != bottoms)
+    size = prod(map(len, coords)) + (tops != bottoms)
     if size > DEFAULT_ELEMENT_GUARD:
         raise SizeGuardError(
             f"product would have {size} elements (guard {DEFAULT_ELEMENT_GUARD})"
         )
-    # lower[k][y]: the values of x_k under rule (a) when y_k = y
+    # those members are the tuples of ``coords`` in lexicographic order, and
+    # the top tuple comes just before the ones whose first coordinate with
+    # more than one value, ``lead``, lies above its top: xs has index
+    # sum_j at[j][x_j], mixed-radix offsets
+    lead = next((j for j, p in enumerate(factors) if len(p) > 1), n)
+    at, stride = [], 1
+    for j in range(n - 1, -1, -1):
+        p = factors[j]
+        at.insert(0, [(x - (x > p.top)) * stride + (j == lead and x > p.top) for x in range(len(p))])
+        stride *= len(coords[j])
+    # lower[k][y]: the offsets of x_k under rule (a) when y_k = y, C_k
     lower = [
-        [tuple(x for x in p.downcovers[y] if x != p.bottom) for y in range(len(p))]
-        for p in factors
+        [tuple(o[x] for x in p.downcovers[y] if x != p.bottom) for y in range(len(p))]
+        for p, o in zip(factors, at)
     ]
     raised = [sum(len(lower[k][y]) for y in coords[k]) for k in range(n)]
-    # rest[j][y]: the values of x_j when y_j = y and rule (a) acts in another
-    # coordinate; if no other coordinate has such covers below the top, only
-    # the top tuple needs them, and the down-sets are never built
+    # rest[j][y]: the offsets of x_j when y_j = y and rule (a) acts in
+    # another coordinate, S_j; if no other coordinate has such covers below
+    # the top, only the top tuple needs them, and the others are left empty
     rest = []
-    for j, p in enumerate(factors):
+    for j, (p, o) in enumerate(zip(factors, at)):
         if any(raised[:j] + raised[j + 1 :]):
             masks = _strict_downsets(p)
-            rest.append([tuple(_bits(m)) or (y,) for y, m in enumerate(masks)])
+            rest.append([tuple(map(o.__getitem__, _bits(m))) or (o[y],) for y, m in enumerate(masks)])
         else:
-            rest.append({p.top: tuple(y for y in range(len(p)) if y != p.top) or (p.top,)})
+            rest.append([()] * len(p))
+            rest[j][p.top] = tuple(o[y] for y in range(len(p)) if y != p.top) or (o[p.top],)
     candidates = 0
     for k in range(n):
         others = [j for j in range(n) if j != k]
@@ -697,24 +734,25 @@ def _product_poset(factors) -> Poset:
             f"product would have {candidates} candidate covers (guard {DEFAULT_ELEMENT_GUARD})"
         )
 
+    # per coordinate and value: C_j and S_j
+    table = [list(zip(c, r)) for c, r in zip(lower, rest)]
     members = list(_cartesian(*coords))
+    rows = _cartesian(*[list(map(t.__getitem__, c)) for t, c in zip(table, coords)])
     if tops != bottoms:
-        insort(members, tops)
-    index = {xs: i for i, xs in enumerate(members)}
-    bottom = index[bottoms]
+        top = at[lead][tops[lead]]
+        members.insert(top, tops)
+        rows = _concat(_islice(rows, top), [tuple(map(list.__getitem__, table, tops))], rows)
+    bottom = sum(map(list.__getitem__, at, bottoms))
     ups = [[] for _ in members]
     downs = []
-    for i, ys in enumerate(members):
-        found = set()
-        for k, y in enumerate(ys):
-            if lower[k][y]:
-                choices = [lower[k][y] if j == k else rest[j][ys[j]] for j in range(n)]
-                found.update(map(index.__getitem__, _cartesian(*choices)))
-        # found is empty iff every y_k is 0_k or an atom: rule (b)
-        if not found and i != bottom:
-            found.add(bottom)
-        downs.append(tuple(sorted(found)))
-        for x in found:
+    for i, row in enumerate(rows):
+        diff = _box_difference(row)
+        if diff:
+            down = tuple(diff)
+        else:  # every y_k is 0_k or an atom: rule (b)
+            down = () if i == bottom else (bottom,)
+        downs.append(down)
+        for x in down:
             ups[x].append(i)  # i ascends, so each list is sorted
     # chains and Boolean lattices label by index; where index order extends
     # every factor's order, lexicographic order extends the product's
@@ -723,6 +761,34 @@ def _product_poset(factors) -> Poset:
         members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
     topo = tuple(range(len(members))) if ordered else None
     return Poset.__new__(Poset)._assemble(tuple(members), tuple(map(tuple, ups)), tuple(downs), topo)
+
+
+def _box_difference(row):
+    """The offsets of prod_j S_j minus prod_j (S_j - C_j), ascending.
+
+    ``row`` holds per coordinate C_j and S_j as ascending index offsets.
+    Walked from the last coordinate back, ``diff`` holds the difference
+    over the coordinates walked so far and ``box`` the whole of prod S_j
+    over them, save that the S_j in ``held`` are multiplied in only once a
+    coordinate with C_j nonempty needs the box, so an S_j that no such
+    coordinate needs may be left empty.  Testing x in C_j takes |C_j|
+    steps per x in S_j, within the candidate covers the guards count.
+    """
+    diff, box = row[-1]
+    held = []
+    for low, below in row[-2::-1]:
+        if low:
+            for later in held:
+                box = [x + o for x in later for o in box]
+            held = []
+            if diff:
+                diff = [x + o for x in below for o in (box if x in low else diff)]
+            else:
+                diff = [x + o for x in low for o in box]
+        elif diff:
+            diff = [x + o for x in below for o in diff]
+        held.append(below)
+    return diff
 
 
 def _strict_downsets(p: Poset) -> list[int]:

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: the Mobius number
 comes from chain counting, invariant factors from gcds of minors, ranks
 from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
-proper products from comparing all pairs, falling chains from filtering
+proper products from comparing all pairs, the number of each element's
+down-covers in a proper product from its factors' down-set sizes, falling
+chains from filtering
 every maximal chain by their definition.  The exceptions are earlier
 forms of the library's own code, kept as references for their
 replacements: ``verify_rao_by_generators``, the verifier with one
@@ -13,6 +15,7 @@ generator per interval, for its frame walk, and
 keep each row of falling-chain counts as a list, for the packed rows.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import gcd
@@ -199,6 +202,32 @@ def all_pairs_proper_product(*factors):
     ]
     labels = tuple(tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members)
     return labels, _covers_by_all_pairs(members, leq)
+
+
+def box_difference_cover_counts(poset, factors):
+    """The number of down-covers of each element of a proper product.
+
+    For ys let S_j be the strict down-set of y_j, or {0_j} if y_j is the
+    bottom, and C_j the down-covers of y_j other than 0_j.  Rule (a) gives
+    prod |S_j| - prod |S_j - C_j| down-covers; an element with none covers
+    the bottom alone (rule (b)), and the bottom covers nothing.  The sizes
+    come from closing each factor's covers, not from the product's.
+    """
+    sizes = []
+    for p in factors:
+        strict = Counter(y for _, y in closure_from_covers(p))
+        sizes.append(
+            [(max(strict[y], 1), sum(x != p.bottom for x in p.downcovers[y])) for y in range(len(p))]
+        )
+    counts = []
+    for i, labels in enumerate(poset.labels):
+        whole = outside = 1
+        for p, size, label in zip(factors, sizes, labels):
+            s, c = size[p.index_of(label)]
+            whole *= s
+            outside *= s - c
+        counts.append(whole - outside or int(i != poset.bottom))
+    return counts
 
 
 def falling_chains_by_definition(dual, length=None):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import properdiv as pd
-from properdiv.complexes import SimplicialComplex, face_guard_default
+from properdiv.complexes import SimplicialComplex, _chain_facets, face_guard_default
 
 from oracles import count_chains_by_length
-from strategies import bounded_posets, small_factors
+from strategies import RP2_FACETS, bounded_posets, face_poset, small_factors
 
 
 def _pdiv_complex(vec):
@@ -135,6 +135,38 @@ def test_certified_complex_past_the_chain_guard_answers_and_refuses_its_facets(m
     with pytest.raises(pd.SizeGuardError, match="more than 100000 maximal chains"):
         cx.facets
     assert cx._facets is None and cx.dim == 28
+
+
+def _facets_of_the_open_part(p):
+    chains = p.open_part().maximal_chains(max_chains=face_guard_default())
+    return tuple(sorted(tuple(sorted(c)) for c in chains))
+
+
+def test_chain_facets_match_the_open_part_route(monkeypatch):
+    # the face posets of RP2, sd(RP2) and sd2(RP2), which no certificate
+    # covers, and their duals
+    cx = SimplicialComplex(range(6), RP2_FACETS)
+    built = [pd.chain(0), pd.chain(1), pd.chain(2)]
+    for _ in range(3):
+        p = face_poset(cx)
+        built += [p, p.dual()]
+        cx = pd.order_complex(p)
+        assert cx._certified_betti is None
+    for p in built:
+        assert _chain_facets(p) == _facets_of_the_open_part(p)
+    # P(4, 4) under a guard of 129 skips its certificate and lists its 19
+    # chains; both routes refuse the same count with the same message
+    p = pd.proper_divisibility_poset((4, 4))
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "129")
+    cx = pd.order_complex(p)
+    assert cx._certified_betti is None
+    assert cx.facets == _chain_facets(p.dual()) == _facets_of_the_open_part(p)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "19")
+    assert _chain_facets(p) == _facets_of_the_open_part(p)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "18")
+    for route in (_chain_facets, _facets_of_the_open_part):
+        with pytest.raises(pd.SizeGuardError, match="^more than 18 maximal chains$"):
+            route(p)
 
 
 def test_order_complex_requires_bounded():

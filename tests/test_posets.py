@@ -14,6 +14,7 @@ from properdiv.posets import pd_le, properly_divides
 from oracles import (
     all_pairs_proper_divisibility,
     all_pairs_proper_product,
+    box_difference_cover_counts,
     closure_from_covers,
     hall_mobius,
 )
@@ -249,6 +250,41 @@ def test_product_covers_match_all_pairs_reference():
 def test_product_covers_match_reference_on_random_factors(drawn):
     factors = [p.dual() if flip else p for p, flip in drawn]
     _assert_matches(pd.proper_product(*factors), all_pairs_proper_product(*factors))
+
+
+# -- cover counts of the box difference ----------------------------------------
+
+
+def _assert_cover_counts(poset, factors):
+    counts = box_difference_cover_counts(poset, factors)
+    assert list(map(len, poset.downcovers)) == counts
+
+
+def test_cover_counts_match_the_box_difference():
+    factors = small_factors()
+    for p in factors:
+        for q in factors:
+            _assert_cover_counts(pd.proper_product(p, q), [p, q])
+    c0, c1, c3, b2, b3, p23 = factors[:6]
+    for combo in [
+        (b2, pd.chain(2), b2.dual()),
+        (p23, pd.chain(2), c0),
+        (c1, c3.dual(), b2, c0),
+        (p23.dual(), b3, c1),
+        (pd.boolean_lattice(4), pd.boolean_lattice(5)),
+    ]:
+        _assert_cover_counts(pd.proper_product(*combo), combo)
+    for vec in [v for n in range(1, 4) for v in cartesian(range(6), repeat=n)] + [(16, 16), (6, 6, 6)]:
+        _assert_cover_counts(pd.proper_divisibility_poset(vec), [pd.chain(x) for x in vec])
+
+
+@given(
+    st.lists(st.tuples(bounded_posets(max_mid=4), st.booleans()), min_size=2, max_size=3)
+)
+@settings(max_examples=80, deadline=None)
+def test_cover_counts_match_the_box_difference_on_random_factors(drawn):
+    factors = [p.dual() if flip else p for p, flip in drawn]
+    _assert_cover_counts(pd.proper_product(*factors), factors)
 
 
 # -- P(a) against the proper product of chains ----------------------------------
