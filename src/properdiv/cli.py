@@ -169,6 +169,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_falling(args) -> int:
+    if args.length is not None and args.length < 0:
+        raise DescriptorError(f"--length must be at least 0, got {args.length}")
     if args.count_only:
         # counted per element, without walking a chain
         histogram = {

@@ -10,26 +10,11 @@ characteristic is -1.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, face_guard_default
 from .posets import Poset
-
-DEFAULT_FACE_GUARD = 2_000_000
-
-
-def face_guard_default() -> int:
-    """Face-count guard; the PROPERDIV_GUARD_FACES env var overrides it."""
-    raw = os.environ.get("PROPERDIV_GUARD_FACES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(
-                f"PROPERDIV_GUARD_FACES must be an integer, got {raw!r}"
-            ) from None
-    return DEFAULT_FACE_GUARD
+from .shellability import _dual_lex_betti
 
 
 class SimplicialComplex:
@@ -216,23 +201,6 @@ def _chain_facets(p: Poset) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(map(renumber, c[1:-1]))) for c in chains))
 
 
-def _walk_fits(p: Poset) -> bool:
-    """Whether the certificate walk's state fits the face guard.
-
-    The walk holds one ``len(p)``-bit mask per element and, per cover y < x,
-    a row of falling-chain counts by length packed into one integer, at most
-    the longest chain to x plus one slots.  The bound counts those slots,
-    one per count as when each row was a list, whatever their width, so it
-    admits the same posets.  Both are counted, the masks in 64-bit words,
-    before any is built.
-    """
-    guard = face_guard_default()
-    if len(p) ** 2 // 64 > guard:
-        return False
-    level = p._longest_paths(p._topo, p.downcovers)
-    return sum((level[x] + 1) * len(d) for x, d in enumerate(p.downcovers)) <= guard
-
-
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of a bounded poset with bottom and top removed.
 
@@ -241,24 +209,20 @@ def order_complex(p: Poset) -> SimplicialComplex:
     sorted.  Returns the empty complex when nothing is left.
 
     Before any chain is listed, the dual-lex certificate of ``p.dual()`` is
-    checked (see the ``homology`` module).  If it verifies, the complex keeps
-    the reduced Betti numbers it gives, answers ``dim`` as ``p.length() - 2``
-    and lists its facets, held to the face guard, only when they are first
-    read: so ``order_complex(P(30, 30))`` returns, and reading its facets
-    raises :class:`SizeGuardError`.  Otherwise the facets are listed at once,
-    held to the same guard.  The walk is skipped where its bitmasks, counted
-    in 64-bit words, or its rows of counts exceed the face guard, as on
-    P(2, ..., 2) with 14 coordinates or P(60, 60); the chains then meet the
-    guard as well.
+    checked (see the ``shellability`` module for the walk and its bound).
+    If it verifies, the complex keeps the reduced Betti numbers it gives,
+    answers ``dim`` as ``p.length() - 2`` and lists its facets, held to the
+    face guard, only when they are first read: so ``order_complex(P(30,
+    30))`` returns, and reading its facets raises :class:`SizeGuardError`.
+    Otherwise, or where the walk is skipped, the facets are listed at once,
+    held to the same guard.
     """
-    from .shellability import _dual_lex_betti  # it reads the face guard from here
-
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
     ends = (p.bottom, p.top)
     vertices = tuple(lab for i, lab in enumerate(p.labels) if i not in ends)
     cx = SimplicialComplex.__new__(SimplicialComplex)
-    betti = _dual_lex_betti(p) if vertices and _walk_fits(p) else None
+    betti = _dual_lex_betti(p) if vertices else None
     if betti is None:
         return cx._assemble(vertices, _chain_facets(p))
     return cx._assemble(vertices, None, betti, p)

@@ -44,15 +44,10 @@ x_0 < x_1 < ... of P-bar is falling iff every step x_i -> x_(i+1) after
 the first lands on an atom that condition (i) requires to come first in
 the interval above x_i: one lying above an atom of the interval above
 x_(i-1) that is ordered before x_i.  The walk that checks and counts
-runs before any chain is listed.  It holds a bitmask of len(P) bits per
-element and, per cover y < x, a row of counts by length packed into one
-integer, at most the longest chain to x plus one slots.  A slot is as
-wide as the largest number of saturated chains from the bottom up to any
-element, and a row counts some of those chains of its element, so no
-slot carries into the next.  The walk is skipped where the masks,
-counted in 64-bit words, or the slots exceed the face guard.  The counts
-are kept with the complex and :func:`homology` answers from them: no
-chain is listed and no face closed on this route.  Every other complex,
+runs before any chain is listed; the ``shellability`` module describes
+it and the face-guard bound past which it is skipped.  The counts are
+kept with the complex and :func:`homology` answers from them: no chain
+is listed and no face closed on this route.  Every other complex,
 and an order complex whose certificate fails (the face poset of RP^2,
 with its torsion, is one) or is skipped, is reduced as given.
 """

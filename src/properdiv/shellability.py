@@ -24,6 +24,16 @@ down-covers by descending index, which on P(a), indexed lexicographically,
 is dual-lex order.  There an element's last down-cover is its
 componentwise decrement, which the falling chains read.
 
+``order_complex`` checks that certificate and counts its falling chains
+with the walk ``_dual_lex_betti`` before it lists any chain.  The walk
+holds a ``len(P)``-bit mask per element and, per cover y < x, a row of
+counts by length packed into one integer (below), of at most the longest
+chain up to x plus one slots.  It is skipped, answering None, where the
+masks in 64-bit words (``len(P)**2 // 64``) or the slots, one per count
+whatever their width, exceed the face guard, both counted before any is
+built.  ``verify_rao`` and ``search_rao`` hold the same masks and refuse
+past the same number of words with :class:`SizeGuardError`.
+
 Falling chains are counted without listing them.  The walk refuses a step
 from x onto k iff k is x's decrement and not (0, 0), a test of the step's
 two ends alone, so the falling chains are exactly the paths from the top
@@ -47,8 +57,7 @@ import json
 from dataclasses import dataclass
 
 from . import posets
-from .complexes import face_guard_default
-from .errors import SizeGuardError
+from .errors import SizeGuardError, face_guard_default
 from .posets import Poset, as_multidegree, proper_divisibility_poset
 
 DEFAULT_RAO_GUARD = 24
@@ -130,50 +139,35 @@ def _label_json(label):
     return label
 
 
-class _IntervalContext:
-    """Shared bitmask machinery for the intervals [x, top] of one poset.
+def _interval_masks(p: Poset):
+    """Up-covers, reflexive up-sets and up-cover masks per element, under the mask bound.
 
-    It holds ``len(p)``-bit masks per element, so it refuses, before building
-    any, a poset whose masks in 64-bit words exceed the face guard: the rule
-    ``order_complex`` skips the certificate walk by.
+    Reflexive up-sets serve as strict ones: a prefix mask joins those of
+    earlier atoms of an interval, which are distinct from and incomparable
+    to a later atom, so their own bits meet neither its up-set nor its
+    up-covers (``verify_rao`` checks that an ordering permutes the atoms).
     """
+    if not p.is_bounded:
+        raise ValueError("poset must be bounded")
+    guard = face_guard_default()
+    if len(p) ** 2 // 64 > guard:
+        raise SizeGuardError(
+            f"face-count guard {guard} exceeded by the bitmasks of {len(p)} elements"
+        )
+    up = p.upcovers
+    return up, p.above, [sum(map((1).__lshift__, ups)) for ups in up]
 
-    def __init__(self, p: Poset):
-        if not p.is_bounded:
-            raise ValueError("poset must be bounded")
-        guard = face_guard_default()
-        if len(p) ** 2 // 64 > guard:
-            raise SizeGuardError(
-                f"face-count guard {guard} exceeded by the bitmasks of {len(p)} elements"
-            )
-        self.p = p
-        self.up = p.upcovers
-        # reflexive up-sets serve as strict ones: a prefix mask joins those
-        # of earlier atoms of the interval, which are distinct from and
-        # incomparable to a later atom, so their own bits meet neither its
-        # up-set nor its up-covers (verify_rao checks that an ordering is a
-        # permutation of the atoms before it uses one)
-        self.above = p.above
-        self.up_mask = [sum(map((1).__lshift__, ups)) for ups in p.upcovers]
 
-    def is_short(self, x: int) -> bool:
-        # the interval [x, top] has length <= 1 iff it has <= 2 elements
-        return self.above[x].bit_count() <= 2
-
-    def condition_ii_ok(self, atom: int, prefix_mask: int) -> bool:
-        """Condition (ii) for ``atom`` given the earlier atoms' up-sets."""
-        trigger = self.above[atom] & prefix_mask
-        if not trigger:
-            return True
-        witness = 0
-        for q in self.up[atom]:
-            if (prefix_mask >> q) & 1:
-                witness |= self.above[q]
-        return not (trigger & ~witness)
-
-    def f_atoms(self, atom: int, prefix_mask: int) -> int:
-        """Bitmask of the atoms of [atom, top] lying above some earlier atom."""
-        return self.up_mask[atom] & prefix_mask
+def _condition_ii_ok(up, above, atom: int, prefix_mask: int) -> bool:
+    """Condition (ii) for ``atom`` given the earlier atoms' up-sets."""
+    trigger = above[atom] & prefix_mask
+    if not trigger:
+        return True
+    witness = 0
+    for q in up[atom]:
+        if (prefix_mask >> q) & 1:
+            witness |= above[q]
+    return not (trigger & ~witness)
 
 
 def verify_rao(p: Poset, cert: RaoCertificate):
@@ -183,9 +177,9 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     condition)``.  Raises ValueError when the certificate's orderings are
     not permutations of the proper atom sets.
     """
-    ctx = _IntervalContext(p)
+    up, above, up_mask = _interval_masks(p)
     index = {lab: i for i, lab in enumerate(p.labels)}
-    labels, up, above, up_mask = p.labels, ctx.up, ctx.above, ctx.up_mask
+    labels = p.labels
     # depth-first on an explicit stack of frames [memo key, x, children,
     # ordering, position, prefix mask], one per open interval: certificates
     # nest once per step of a maximal chain, deeper than the interpreter's
@@ -243,7 +237,7 @@ def verify_rao(p: Poset, cert: RaoCertificate):
                 continue
             atom = ordering[j]
             # condition (ii) is checked only where an earlier atom's up-set meets atom's
-            if above[atom] & prefix_mask and not ctx.condition_ii_ok(atom, prefix_mask):
+            if above[atom] & prefix_mask and not _condition_ii_ok(up, above, atom, prefix_mask):
                 stack.pop()
                 result = memo[key] = (
                     False,
@@ -270,15 +264,15 @@ def search_rao(p: Poset):
         raise ValueError("poset must be bounded")
     if len(p) > DEFAULT_RAO_GUARD:
         raise SizeGuardError(f"search guard is {DEFAULT_RAO_GUARD} elements")
-    ctx = _IntervalContext(p)
+    up, above, up_mask = _interval_masks(p)
     memo: dict = {}
 
     def search(x: int, required_first: int):
         key = (x, required_first)
         if key in memo:
             return memo[key]
-        atoms = ctx.up[x]
-        if ctx.is_short(x):
+        atoms = up[x]
+        if above[x].bit_count() <= 2:  # the interval has length <= 1
             cert = RaoCertificate(
                 ordering=tuple(p.labels[i] for i in atoms), children=None
             )
@@ -297,14 +291,15 @@ def search_rao(p: Poset):
             for atom in pool:
                 if atom in ordering:
                     continue
-                if not ctx.condition_ii_ok(atom, prefix_mask):
+                if not _condition_ii_ok(up, above, atom, prefix_mask):
                     continue
-                child = search(atom, ctx.f_atoms(atom, prefix_mask))
+                # the atoms of [atom, top] above an earlier atom must lead there
+                child = search(atom, up_mask[atom] & prefix_mask)
                 if child is None:
                     continue
                 ordering.append(atom)
                 children.append(child)
-                if extend(prefix_mask | ctx.above[atom]):
+                if extend(prefix_mask | above[atom]):
                     return True
                 ordering.pop()
                 children.pop()
@@ -365,7 +360,8 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
 
     Degree i counts the falling maximal chains of ``poset.dual()`` with
     i + 2 steps (see the ``homology`` module), up to the last nonzero
-    degree; the result is None when a condition ``verify_rao`` checks fails.
+    degree; the result is None when a condition ``verify_rao`` checks fails
+    or the walk is skipped for the face guard (see the module docstring).
     The certificate is read from covers, never built: the atoms of the
     dual's interval above x are x's down-covers in descending index order,
     and ``poset.below`` gives the dual's up-sets.  What a certificate node
@@ -387,7 +383,13 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     none of its slots can carry into the next.  Each pass reads every cover
     of ``poset`` once, and only the top's row is unpacked.
     """
-    down, below = poset.downcovers, poset.below
+    down, guard = poset.downcovers, face_guard_default()
+    if len(poset) ** 2 // 64 > guard:
+        return None
+    level = poset._longest_paths(poset._topo, down)
+    if sum((level[x] + 1) * len(d) for x, d in enumerate(down)) > guard:
+        return None
+    below = poset.below
     down_mask = [sum(map((1).__lshift__, d)) for d in down]
     # the size of the required mask each atom hands on, per element; checked
     # from the top down, as verify_rao enters the intervals
@@ -469,11 +471,14 @@ def falling_chains(
     (1, k), (k, 1), (0, k) or (k, 0) with k >= 2 is its decrement, which is
     not (0, 0).  Chains come out ordered lexicographically by their vector
     sequences.  With ``length`` the walk descends at most ``length`` steps
-    and keeps the chains of exactly that many.  The chain guard bounds every
-    chain the walk completes, kept or not.
+    and keeps the chains of exactly that many; a negative ``length`` raises
+    ValueError.  The chain guard bounds every chain the walk completes, kept
+    or not.
     """
     if not (2 <= a <= b):
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
+    if length is not None and length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
     poset = proper_divisibility_poset((a, b))
     down = poset.downcovers
     labels = poset.labels

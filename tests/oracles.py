@@ -10,7 +10,8 @@ chains from filtering
 every maximal chain by their definition.  The exceptions are earlier
 forms of the library's own code, kept as references for their
 replacements: ``verify_rao_by_generators``, the verifier with one
-generator per interval, for its frame walk, and
+generator per interval, for its frame walk (it tests the conditions
+element by element, not with the verifier's masks), and
 ``dual_lex_betti_by_lists`` and ``falling_chain_counts_by_lists``, which
 keep each row of falling-chain counts as a list, for the packed rows.
 """
@@ -21,7 +22,6 @@ from itertools import combinations, product, zip_longest
 from math import gcd
 
 from properdiv import posets
-from properdiv.shellability import _IntervalContext
 
 
 def hall_mobius(poset) -> int:
@@ -261,16 +261,33 @@ def falling_chains_by_definition(dual, length=None):
 
 
 def verify_rao_by_generators(p, cert):
-    """``verify_rao`` as one generator per interval, each sent its children's results."""
-    ctx = _IntervalContext(p)
+    """``verify_rao`` as one generator per interval, each sent its children's results.
+
+    Condition (ii), the short-interval test and the atoms condition (i)
+    requires are computed here from ``p.upcovers`` and ``p.above``, element
+    by element, not with the library's masks.
+    """
+    up, above = p.upcovers, p.above
     index = {lab: i for i, lab in enumerate(p.labels)}
-    strict_above = [m ^ (1 << i) for i, m in enumerate(ctx.above)]
 
     def label_of(x):
         return p.labels[x]
 
+    def above_earlier(q, earlier):
+        return any(e != q and (above[e] >> q) & 1 for e in earlier)
+
+    def condition_ii(atom, earlier):
+        # every q above atom and above an earlier atom lies above an
+        # up-cover of atom that is itself above an earlier atom
+        witnesses = [c for c in up[atom] if above_earlier(c, earlier)]
+        return all(
+            any((above[c] >> q) & 1 for c in witnesses)
+            for q in range(len(p))
+            if (above[atom] >> q) & 1 and above_earlier(q, earlier)
+        )
+
     def check(x, node, required_first):
-        atoms = ctx.up[x]
+        atoms = up[x]
         try:
             ordering = tuple(map(index.__getitem__, node.ordering))
         except KeyError as exc:
@@ -286,7 +303,7 @@ def verify_rao_by_generators(p, cert):
                 f"condition (i): atoms {sorted(map(label_of, posets._bits(required_first)))} "
                 f"must come first in the interval above {label_of(x)!r}",
             )
-        if ctx.is_short(x):
+        if all(q == p.top for q in atoms):  # [x, top] has length <= 1
             if node.children is not None:
                 raise ValueError(
                     f"interval above {label_of(x)!r} has length <= 1 but the "
@@ -297,18 +314,19 @@ def verify_rao_by_generators(p, cert):
             raise ValueError(
                 f"certificate above {label_of(x)!r} must carry one child per atom"
             )
-        prefix_mask = 0
         for j, atom in enumerate(ordering):
-            if not ctx.condition_ii_ok(atom, prefix_mask):
+            earlier = ordering[:j]
+            if not condition_ii(atom, earlier):
                 return (
                     False,
                     f"condition (ii) fails for atom {label_of(atom)!r} at "
                     f"position {j} in the interval above {label_of(x)!r}",
                 )
-            ok, why = yield atom, node.children[j], ctx.f_atoms(atom, prefix_mask)
+            # the atoms of [atom, top] above an earlier atom must lead there
+            required = sum(1 << c for c in up[atom] if above_earlier(c, earlier))
+            ok, why = yield atom, node.children[j], required
             if not ok:
                 return False, why
-            prefix_mask |= strict_above[atom]
         return True, None
 
     memo = {}

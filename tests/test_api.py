@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import inspect
 from pathlib import Path
 
@@ -68,3 +69,20 @@ def test_readme_library_tour_gives_its_commented_values():
     assert values["pd.betti_from_falling_chains(4, 4)"] == (0, 4, 0)
     assert values["pd.formulas.betti_rank(4, 4, 1)"] == 4
     assert values["pd.homology(pd.order_complex(prod)).betti"] == (15, 30, 40, 30, 13)
+
+
+def test_module_imports_form_no_cycle():
+    # relative imports between the package's modules, at module level or
+    # inside functions; a cycle raises graphlib.CycleError naming it
+    package = Path(pd.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:  # from . import module
+                    deps.update(alias.name for alias in node.names)
+    assert {"complexes", "shellability"} <= graph.keys()
+    graphlib.TopologicalSorter(graph).prepare()

@@ -298,6 +298,20 @@ def test_falling_usage_error(capsys):
     assert code == 2
 
 
+def test_falling_refuses_a_negative_length(capsys):
+    for extra in ([], ["--json"], ["--count-only"], ["--count-only", "--json"]):
+        code, out, err = run(capsys, "falling", "3", "3", *extra, "--length", "-2")
+        assert (code, out) == (2, "")
+        assert err == "error: --length must be at least 0, got -2\n"
+    with pytest.raises(ValueError, match="length must be at least 0"):
+        pd.falling_chains(3, 3, length=-1)
+    # no falling chain has 0 or 1 steps: valid, with an empty answer
+    for length in ("0", "1"):
+        assert run(capsys, "falling", "3", "3", "--length", length)[:2] == (0, "")
+        assert run(capsys, "falling", "3", "3", "--count-only", "--length", length)[:2] == (0, "")
+    assert pd.falling_chains(3, 3, length=0) == pd.falling_chains(4, 4, length=1) == []
+
+
 @pytest.mark.parametrize(
     "argv", [["rao", "--dual-lex", "8,8"], ["falling", "9", "9"]], ids=" ".join
 )
