@@ -91,9 +91,9 @@ class Poset:
     ``Poset(labels, upcovers)`` takes labels and covers from outside: it
     refuses repeated labels, sorts and de-duplicates the covers and refuses
     out-of-range targets, cycles and covers implied by longer paths.  The
-    module's constructors and ``open_part`` skip that step, since their
-    rules yield distinct labels and the sorted transitive reduction
-    directly; ``dual()`` swaps fields and shares them with its original.
+    module's constructors skip that step, since their rules yield distinct
+    labels and the sorted transitive reduction directly; ``dual()`` swaps
+    fields and shares them with its original.
     """
 
     __slots__ = (
@@ -271,24 +271,6 @@ class Poset:
         d.bottom, d.top, d._above, d._below = self.top, self.bottom, self._below, self._above
         d._index, d._topo = self._index, self._topo[::-1]
         return d
-
-    def _induced(self, members: list[int]) -> "Poset":
-        # valid only for convex element sets (covers restrict to covers) listed
-        # ascending, so that the renumbering keeps every cover list sorted
-        remap = {old: new for new, old in enumerate(members)}
-        labels = tuple(self.labels[i] for i in members)
-        ups = tuple(tuple(remap[j] for j in self.upcovers[i] if j in remap) for i in members)
-        downs = tuple(tuple(remap[j] for j in self.downcovers[i] if j in remap) for i in members)
-        topo = tuple(remap[i] for i in self._topo if i in remap)
-        return Poset.__new__(Poset)._assemble(labels, ups, downs, topo)
-
-    def open_part(self) -> "Poset":
-        """The poset minus its bottom and top elements (must be bounded)."""
-        if not self.is_bounded:
-            raise ValueError("poset must be bounded")
-        skip = {self.bottom, self.top}
-        members = [i for i in range(len(self)) if i not in skip]
-        return self._induced(members)
 
     # -- chains ------------------------------------------------------------
 

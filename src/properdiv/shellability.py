@@ -25,14 +25,18 @@ is dual-lex order.  There an element's last down-cover is its
 componentwise decrement, which the falling chains read.
 
 ``order_complex`` checks that certificate and counts its falling chains
-with the walk ``_dual_lex_betti`` before it lists any chain.  The walk
-holds a ``len(P)``-bit mask per element and, per cover y < x, a row of
-counts by length packed into one integer (below), of at most the longest
-chain up to x plus one slots.  It is skipped, answering None, where the
-masks in 64-bit words (``len(P)**2 // 64``) or the slots, one per count
-whatever their width, exceed the face guard, both counted before any is
-built.  ``verify_rao`` and ``search_rao`` hold the same masks and refuse
-past the same number of words with :class:`SizeGuardError`.
+with the walk ``_dual_lex_betti`` before it lists any chain: one pass
+from the bottom up checks each cover and adds its counts.  Once
+condition (i) holds, the witness of condition (ii) always lies inside
+its trigger, so (ii), the converse, is one comparison of popcounts (see
+the walk).  The walk holds a ``len(P)``-bit mask per element and, per
+cover y < x, a witness size and a row of counts by length packed into
+one integer (below), of at most the longest chain up to x plus one
+slots.  It is skipped, answering None, where the masks in 64-bit words
+(``len(P)**2 // 64``) or the slots, one per count whatever their width,
+exceed the face guard, both counted before any is built.  ``verify_rao``
+and ``search_rao`` hold the same masks and refuse past the same number
+of words with :class:`SizeGuardError`.
 
 Falling chains are counted without listing them.  The walk refuses a step
 from x onto k iff k is x's decrement and not (0, 0), a test of the step's
@@ -368,9 +372,18 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     is checked for depends only on its element, except condition (i), whose
     required mask the parent's prefix fixes; and once every interval passes,
     every element has been entered.  So checking each element's atoms once,
-    in any order, gives ``verify_rao``'s verdict.  The atoms condition (i)
-    requires lead the descending order, so the required mask is fixed by
-    its size.
+    in any order, gives ``verify_rao``'s verdict, and one pass from the
+    bottom up both checks and counts.  The atoms condition (i) requires
+    lead the descending order, so the required mask is fixed by its size.
+
+    Condition (ii) is one popcount test.  ``prefix``, the union of the
+    down-sets of the atoms taken so far, is a down-set.  Once (i) holds,
+    the witness is the union of the down-sets of atom's first ``size``
+    atoms; each lies below atom and, its atom being in ``prefix``, inside
+    ``prefix``.  So the witness lies inside the trigger ``below[atom] &
+    prefix``, and (ii), the trigger inside the witness, holds iff their
+    sizes agree.  ``reached[x][j]`` is the witness's size for x's first j
+    atoms, recorded as x's own ``prefix`` grows.
 
     A chain is falling iff each step after the first lands on an atom in the
     required mask of the interval it leaves.  ``sums[x][m]`` counts, by
@@ -380,8 +393,9 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     integer holding the chains of l steps in the w-bit slot l (see the
     module docstring), so an atom's row, one step longer, is added by
     ``acc += row << w``.  Its chains all run from the bottom up to x, so
-    none of its slots can carry into the next.  Each pass reads every cover
-    of ``poset`` once, and only the top's row is unpacked.
+    none of its slots can carry into the next.  After ``_chain_counts``,
+    the pass reads every cover of ``poset`` once, and only the top's row is
+    unpacked.
     """
     down, guard = poset.downcovers, face_guard_default()
     if len(poset) ** 2 // 64 > guard:
@@ -391,39 +405,30 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
         return None
     below = poset.below
     down_mask = [sum(map((1).__lshift__, d)) for d in down]
-    # the size of the required mask each atom hands on, per element; checked
-    # from the top down, as verify_rao enters the intervals
-    leads: list = [None] * len(poset)
-    for x in reversed(poset._topo):
-        # the down-sets of the atoms taken so far; atoms of one interval are
-        # incomparable, so the atoms' own bits change no test below
-        prefix = 0
-        sizes = leads[x] = []
+    width = max(poset._chain_counts()).bit_length()
+    sums: list = [None] * len(poset)
+    reached: list = [None] * len(poset)
+    # the chain of no steps; the bottom has no atoms
+    sums[poset.bottom], reached[poset.bottom] = [1], [0]
+    for x in poset._topo[1:]:  # a linear extension starts at the bottom
+        # the down-sets of the atoms taken so far, a down-set itself; atoms
+        # of one interval are incomparable, so their own bits change no test
+        prefix = acc = 0
+        row, sizes = sums[x], reached[x] = [acc], [0]
         for atom in reversed(down[x]):
             required = down_mask[atom] & prefix
             rest = down_mask[atom] ^ required
             # condition (i): no other atom of atom's interval has a higher index
             if required and rest.bit_length() > (required & -required).bit_length():
                 return None
-            trigger = below[atom] & prefix
-            if trigger:  # condition (ii)
-                witness = 0
-                for q in down[atom]:
-                    if required >> q & 1:
-                        witness |= below[q]
-                if trigger & ~witness:
-                    return None
-            sizes.append(required.bit_count())
-            prefix |= below[atom]
-    width = max(poset._chain_counts()).bit_length()
-    sums: list = [None] * len(poset)
-    sums[poset.bottom] = [1]  # the chain of no steps; the bottom has no atoms
-    for x in poset._topo[1:]:  # a linear extension starts at the bottom
-        acc = 0
-        row = sums[x] = [acc]
-        for atom, size in zip(reversed(down[x]), leads[x]):
+            size = required.bit_count()
+            # condition (ii): the trigger holds the witness, so equal sizes suffice
+            if (below[atom] & prefix).bit_count() != reached[atom][size]:
+                return None
             acc += sums[atom][size] << width
+            prefix |= below[atom]
             row.append(acc)
+            sizes.append(prefix.bit_count())
     return tuple(_unpack(sums[poset.top][-1], width)[2:])
 
 

@@ -6,14 +6,17 @@ from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
 proper products from comparing all pairs, the number of each element's
 down-covers in a proper product from its factors' down-set sizes, falling
-chains from filtering
-every maximal chain by their definition.  The exceptions are earlier
-forms of the library's own code, kept as references for their
-replacements: ``verify_rao_by_generators``, the verifier with one
-generator per interval, for its frame walk (it tests the conditions
-element by element, not with the verifier's masks), and
-``dual_lex_betti_by_lists`` and ``falling_chain_counts_by_lists``, which
-keep each row of falling-chain counts as a list, for the packed rows.
+chains from filtering every maximal chain by their definition, and open
+parts from the checking constructor.  The exceptions are earlier forms of
+the library's own code, kept as references for their replacements:
+``verify_rao_by_generators``, the verifier with one generator per
+interval, for its frame walk (it tests the conditions element by element,
+not with the verifier's masks); ``dual_lex_betti_by_lists``, which checks
+the certificate in a pass of its own from the top down, with condition
+(ii) as a union of the witnesses' down-sets, and keeps each row of counts
+as a list, for the walk's single bottom-up pass with its popcount test and
+packed rows; and ``falling_chain_counts_by_lists``, with list rows, for
+the packed ones.
 """
 
 from collections import Counter
@@ -22,6 +25,14 @@ from itertools import combinations, product, zip_longest
 from math import gcd
 
 from properdiv import posets
+
+
+def open_part(poset):
+    """The bounded ``poset`` minus its bottom and top, through the checking constructor."""
+    members = [i for i in range(len(poset)) if i not in (poset.bottom, poset.top)]
+    remap = {old: new for new, old in enumerate(members)}
+    ups = [[remap[j] for j in poset.upcovers[i] if j in remap] for i in members]
+    return posets.Poset([poset.labels[i] for i in members], ups)
 
 
 def hall_mobius(poset) -> int:

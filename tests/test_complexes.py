@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import properdiv as pd
 from properdiv.complexes import SimplicialComplex, _chain_facets, face_guard_default
 
-from oracles import count_chains_by_length
+from oracles import count_chains_by_length, open_part
 from strategies import RP2_FACETS, bounded_posets, face_poset, small_factors
 
 
@@ -56,7 +56,7 @@ def _assert_order_complex_matches_the_checking_constructor(p):
     # certified complex lists them on first read, and answers dim and
     # is_empty before that
     for q in (p, p.dual()):
-        open_poset = q.open_part()
+        open_poset = open_part(q)
         checked = SimplicialComplex(open_poset.labels, open_poset.maximal_chains())
         trusted = pd.order_complex(q)
         dim, empty = trusted.dim, trusted.is_empty
@@ -138,7 +138,7 @@ def test_certified_complex_past_the_chain_guard_answers_and_refuses_its_facets(m
 
 
 def _facets_of_the_open_part(p):
-    chains = p.open_part().maximal_chains(max_chains=face_guard_default())
+    chains = open_part(p).maximal_chains(max_chains=face_guard_default())
     return tuple(sorted(tuple(sorted(c)) for c in chains))
 
 
@@ -212,7 +212,7 @@ def test_f_vector_counts_all_chains():
         p = pd.proper_divisibility_poset(vec)
         assert len(p) <= 100
         cx = pd.order_complex(p)
-        by_size = count_chains_by_length(p.open_part())
+        by_size = count_chains_by_length(open_part(p))
         expected = tuple(
             by_size.get(size, 0) for size in range(1, max(by_size, default=0) + 1)
         )

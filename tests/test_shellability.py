@@ -434,6 +434,29 @@ def test_certified_betti_match_reduction_on_products():
             assert pd.homology(pd.order_complex(p), torsion=False).betti == want
 
 
+def test_the_walk_matches_its_list_reference_on_duals():
+    # verdict and counts on the dual-lex corpus, the products and the duals
+    # of both; of these, condition (ii) fails on duals only
+    family = [
+        pd.proper_divisibility_poset(vec)
+        for n in (1, 2, 3)
+        for vec in cartesian(range(13), repeat=n)
+        if sum(vec) <= 12
+    ]
+    family += map(_product, _PRODUCTS + ["B3xpB3"])
+    for i, j in cartesian(range(1, 4), range(1, 7)):
+        family += _product(f"B{i}xpB{j}"), _product(f"C{i}xpB{j}"), _product(f"B{j}xpC{i}")
+    verdicts = Counter()
+    for p in family:
+        for q in (p, p.dual()):
+            if q.is_bounded:
+                betti = _packed_matches_lists(q)
+                ok, why = pd.verify_rao(q.dual(), _dual_lex_certificate(q))
+                assert (betti is not None) == ok, (q.labels[q.top], why)
+                verdicts[why and why[: why.index(")") + 1]] += 1
+    assert verdicts[None] and verdicts["condition (i)"] and verdicts["condition (ii)"]
+
+
 def test_packed_rows_on_wide_and_narrow_slots():
     # P(40, 40): slots of 66 bits, wider than a machine word
     p = pd.proper_divisibility_poset((40, 40))
