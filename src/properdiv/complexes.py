@@ -25,11 +25,11 @@ class SimplicialComplex:
     vertices, facets inside others and vertices in no facet.
     ``order_complex`` stores its maximal chains without these checks.  When
     its poset's certificate verifies, it keeps the reduced Betti numbers the
-    certificate gives, which ``homology`` answers from, and the poset, whose
-    chains it lists only when ``facets`` is first read; ``dim`` and
-    ``is_empty`` never list them.  Every other complex has no Betti numbers
-    there, and ``homology`` closes and reduces all of its faces, held to the
-    face guard.
+    certificate gives, one per degree, which ``homology`` and ``dim`` answer
+    from, and the poset, whose chains it lists only when ``facets`` is first
+    read; ``dim`` and ``is_empty`` never list them.  Every other complex has
+    no Betti numbers there, and ``homology`` closes and reduces all of its
+    faces, held to the face guard.
     """
 
     __slots__ = ("vertices", "_facets", "_poset", "_certified_betti")
@@ -96,7 +96,7 @@ class SimplicialComplex:
     def dim(self) -> int:
         """Largest face dimension; -1 for the empty complex."""
         if self._facets is None:
-            return self._poset.length() - 2  # a longest chain without its ends
+            return len(self._certified_betti) - 1  # one entry per degree
         return max((len(f) for f in self._facets), default=0) - 1
 
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
@@ -211,8 +211,9 @@ def order_complex(p: Poset) -> SimplicialComplex:
     Before any chain is listed, the dual-lex certificate of ``p.dual()`` is
     checked (see the ``shellability`` module for the walk and its bound).
     If it verifies, the complex keeps the reduced Betti numbers it gives,
-    answers ``dim`` as ``p.length() - 2`` and lists its facets, held to the
-    face guard, only when they are first read: so ``order_complex(P(30,
+    one per degree up to ``p.length() - 2``, which the walk finds in its
+    set-up pass; ``dim`` is read from them, and the facets, held to the
+    face guard, are listed only when first read: so ``order_complex(P(30,
     30))`` returns, and reading its facets raises :class:`SizeGuardError`.
     Otherwise, or where the walk is skipped, the facets are listed at once,
     held to the same guard.

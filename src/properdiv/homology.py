@@ -55,6 +55,7 @@ with its torsion, is one) or is skipped, is reduced as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .complexes import SimplicialComplex, _close_faces
@@ -215,16 +216,20 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
 def _boundary_columns(lower_index, upper_faces, skip=frozenset()):
     """Yield ``(index, {row: +-1})`` for every face of ``upper_faces`` not in ``skip``.
 
-    Rows are looked up in ``lower_index``; the coefficient of the face with
-    vertex ``j`` removed is ``(-1) ** j``, and keys follow ``j``.
+    ``upper_faces`` is a sequence of faces of one dimension d.  Rows are
+    looked up in ``lower_index``; the coefficient of the face with vertex
+    ``j`` removed is ``(-1) ** j``, and keys run from ``j = d`` down to 0,
+    the order in which ``combinations`` drops vertices.
     """
+    if not upper_faces:
+        return
+    d = len(upper_faces[0]) - 1
+    signs = [-1 if j & 1 else 1 for j in range(d, -1, -1)]
+    rows = lower_index.__getitem__
     for cid, face in enumerate(upper_faces):
         if cid in skip:
             continue
-        yield cid, {
-            lower_index[face[:j] + face[j + 1 :]]: -1 if j & 1 else 1
-            for j in range(len(face))
-        }
+        yield cid, dict(zip(map(rows, combinations(face, d)), signs))
 
 
 # -- homology ---------------------------------------------------------------
@@ -272,15 +277,14 @@ def homology(
     closed, held to the face guard and reduced (module docstring).
 
     An order complex whose poset's dual-lex certificate verified carries its
-    reduced Betti numbers, counted as falling chains: the summary is read
-    from those, padded with 0 to the complex's dimension, torsion-free, and
-    1 higher in degree 0 when not reduced.  Its facets are not read, so no
+    reduced Betti numbers, counted as falling chains, one per degree up to
+    its dimension: the summary is read from those, torsion-free, and 1
+    higher in degree 0 when not reduced.  Its facets are not read, so no
     chain is listed and no face closed, and the face guard does not apply
     (module docstring).
     """
-    certified = k._certified_betti
-    if certified is not None:
-        betti = certified + (0,) * (k.dim + 1 - len(certified))
+    betti = k._certified_betti
+    if betti is not None:
         if not reduced:
             betti = (betti[0] + 1,) + betti[1:]
         return HomologySummary(
@@ -305,7 +309,7 @@ def homology(
         ranks[0] = 1
     cleared: set[int] = set()
     for d in range(dim, 0, -1):
-        lower_index = {f: i for i, f in enumerate(faces[d - 1])}
+        lower_index = dict(zip(faces[d - 1], range(len(faces[d - 1]))))
         cols = dict(_boundary_columns(lower_index, faces[d], skip=cleared))
         del lower_index
         pivot_rows, tails[d] = _snf_of_columns(cols)

@@ -34,7 +34,9 @@ cover y < x, a witness size and a row of counts by length packed into
 one integer (below), of at most the longest chain up to x plus one
 slots.  It is skipped, answering None, where the masks in 64-bit words
 (``len(P)**2 // 64``) or the slots, one per count whatever their width,
-exceed the face guard, both counted before any is built.  ``verify_rao``
+exceed the face guard.  The words are counted before any mask is built;
+the slots are added up in the set-up pass, which builds only the
+down-cover masks, and checked before ``below`` and any row.  ``verify_rao``
 and ``search_rao`` hold the same masks and refuse past the same number
 of words with :class:`SizeGuardError`.
 
@@ -49,7 +51,8 @@ An element's counts by length form one integer, sum_l c_l * 2**(w*l), so
 they are summed over the steps by big-integer additions and moved one
 step longer by a shift by w; only the top's row is unpacked.  The slot
 width w is the bit length of the largest number of saturated chains
-from the bottom up to any element (``Poset._chain_counts``).  The chains
+from the bottom up to any element (``Poset._chain_counts``), which in a
+bounded poset is the top's, as the walk counts it.  The chains
 a row counts, of all lengths together, are some of those up to its
 element, so neither a slot nor a partial sum of rows reaches 2**w, and no
 slot carries into the next.
@@ -363,9 +366,11 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     """Reduced Betti numbers of Δ(poset) from the dual-lex certificate of its dual, or None.
 
     Degree i counts the falling maximal chains of ``poset.dual()`` with
-    i + 2 steps (see the ``homology`` module), up to the last nonzero
-    degree; the result is None when a condition ``verify_rao`` checks fails
-    or the walk is skipped for the face guard (see the module docstring).
+    i + 2 steps (see the ``homology`` module), in every degree up to the
+    dimension of Δ(poset), the poset's length minus 2, which the set-up
+    below finds; the result is None when a condition ``verify_rao`` checks
+    fails or the walk is skipped for the face guard (see the module
+    docstring).
     The certificate is read from covers, never built: the atoms of the
     dual's interval above x are x's down-covers in descending index order,
     and ``poset.below`` gives the dual's up-sets.  What a certificate node
@@ -393,29 +398,49 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     integer holding the chains of l steps in the w-bit slot l (see the
     module docstring), so an atom's row, one step longer, is added by
     ``acc += row << w``.  Its chains all run from the bottom up to x, so
-    none of its slots can carry into the next.  After ``_chain_counts``,
-    the pass reads every cover of ``poset`` once, and only the top's row is
-    unpacked.
+    none of its slots can carry into the next.
+
+    One set-up loop from the bottom up reads the covers for the slot bound
+    and the slot width: per element it fills its level (the most covers on
+    a chain up to it), its number of saturated chains and its down-cover
+    mask, and adds its slots to the total.  ``below`` and the pass then
+    each read every cover once more, and only the top's row is unpacked,
+    padded with 0 to ``level[top] - 1`` degrees.
     """
-    down, guard = poset.downcovers, face_guard_default()
-    if len(poset) ** 2 // 64 > guard:
+    down, guard, n = poset.downcovers, face_guard_default(), len(poset)
+    if n**2 // 64 > guard:
         return None
-    level = poset._longest_paths(poset._topo, down)
-    if sum((level[x] + 1) * len(d) for x, d in enumerate(down)) > guard:
+    level, chains, down_mask = [0] * n, [0] * n, [0] * n
+    slots = 0
+    for x in poset._topo:
+        most, total, mask = -1, 0, 0
+        for y in down[x]:
+            if level[y] > most:
+                most = level[y]
+            total += chains[y]
+            mask |= 1 << y
+        level[x], chains[x], down_mask[x] = most + 1, total or 1, mask
+        slots += (most + 2) * len(down[x])
+    if slots > guard:
         return None
     below = poset.below
-    down_mask = [sum(map((1).__lshift__, d)) for d in down]
-    width = max(poset._chain_counts()).bit_length()
-    sums: list = [None] * len(poset)
-    reached: list = [None] * len(poset)
+    # every saturated chain up to any element extends to one up to the top
+    width = chains[poset.top].bit_length()
+    sums: list = [None] * n
+    reached: list = [None] * n
     # the chain of no steps; the bottom has no atoms
     sums[poset.bottom], reached[poset.bottom] = [1], [0]
     for x in poset._topo[1:]:  # a linear extension starts at the bottom
+        # the first atom meets an empty prefix: nothing is required of it,
+        # and condition (ii) compares 0 with reached[first][0] = 0
+        d = down[x]
+        first = d[-1]
+        acc = sums[first][0] << width
         # the down-sets of the atoms taken so far, a down-set itself; atoms
         # of one interval are incomparable, so their own bits change no test
-        prefix = acc = 0
-        row, sizes = sums[x], reached[x] = [acc], [0]
-        for atom in reversed(down[x]):
+        prefix = below[first]
+        row, sizes = sums[x], reached[x] = [0, acc], [0, prefix.bit_count()]
+        for atom in d[-2::-1]:
             required = down_mask[atom] & prefix
             rest = down_mask[atom] ^ required
             # condition (i): no other atom of atom's interval has a higher index
@@ -429,7 +454,8 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
             prefix |= below[atom]
             row.append(acc)
             sizes.append(prefix.bit_count())
-    return tuple(_unpack(sums[poset.top][-1], width)[2:])
+    betti = tuple(_unpack(sums[poset.top][-1], width)[2:])
+    return betti + (0,) * (level[poset.top] - 1 - len(betti))
 
 
 def _unpack(row: int, width: int) -> list[int]:

@@ -15,8 +15,10 @@ not with the verifier's masks); ``dual_lex_betti_by_lists``, which checks
 the certificate in a pass of its own from the top down, with condition
 (ii) as a union of the witnesses' down-sets, and keeps each row of counts
 as a list, for the walk's single bottom-up pass with its popcount test and
-packed rows; and ``falling_chain_counts_by_lists``, with list rows, for
-the packed ones.
+packed rows; ``falling_chain_counts_by_lists``, with list rows, for
+the packed ones; and ``boundary_columns_by_slicing``, which finds each
+face's rows by slicing one vertex out at a time, for the boundary
+columns read from ``combinations``.
 """
 
 from collections import Counter
@@ -130,6 +132,21 @@ def dense_boundaries(facets):
                     mat[r][c] = (-1) ** up.index(gone)
         matrices.append(mat)
     return faces, matrices
+
+
+def boundary_columns_by_slicing(lower_index, upper_faces, skip=frozenset()):
+    """``homology._boundary_columns`` with each face's rows found by slicing.
+
+    Yields ``(index, {row: +-1})`` for every face of ``upper_faces`` not in
+    ``skip``; the face with vertex ``j`` removed has coefficient ``(-1) ** j``.
+    """
+    for cid, face in enumerate(upper_faces):
+        if cid in skip:
+            continue
+        yield cid, {
+            lower_index[face[:j] + face[j + 1 :]]: -1 if j & 1 else 1
+            for j in range(len(face))
+        }
 
 
 def snf_by_minors(rows):

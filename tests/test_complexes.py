@@ -110,7 +110,7 @@ def test_order_complex_walks_only_within_the_face_guard(monkeypatch):
     assert cx._certified_betti is None and cx._facets is not None
     assert pd.homology(cx, reduced=True).betti == (0, 4, 0)
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "130")
-    assert _certified((4, 4)) == (0, 4)
+    assert _certified((4, 4)) == (0, 4, 0)  # padded to the complex's dimension, 2
 
 
 def test_homology_of_a_certified_complex_lists_no_chain(monkeypatch):

@@ -12,7 +12,12 @@ from properdiv.homology import (
 )
 from properdiv.complexes import SimplicialComplex
 
-from oracles import dense_boundaries, rank_over_rationals, snf_by_minors
+from oracles import (
+    boundary_columns_by_slicing,
+    dense_boundaries,
+    rank_over_rationals,
+    snf_by_minors,
+)
 from strategies import RP2_FACETS, bounded_posets, face_poset
 
 RP2 = SimplicialComplex(range(6), RP2_FACETS)
@@ -143,6 +148,44 @@ def test_boundary_squares_to_zero():
                     for rr, vv in maps[d - 1][r].items():
                         acc[rr] = acc.get(rr, 0) + v * vv
                 assert all(v == 0 for v in acc.values())
+
+
+def _complex_of_sets(sets):
+    """The complex whose facets are the maximal ``sets``, on the vertices they use."""
+    used = sorted(set().union(*sets))
+    facets = [[used.index(v) for v in f] for f in sets if not any(f < g for g in sets)]
+    return SimplicialComplex(range(len(used)), facets)
+
+
+random_complexes = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=8
+).map(_complex_of_sets)
+
+
+def _assert_columns_match_slicing(cx):
+    # every column, and the columns left once every other face is skipped
+    faces = cx.faces_by_dim()
+    for d in range(1, len(faces)):
+        lower_index = dict(zip(faces[d - 1], range(len(faces[d - 1]))))
+        assert lower_index == {f: i for i, f in enumerate(faces[d - 1])}
+        for skip in (frozenset(), frozenset(range(0, len(faces[d]), 2))):
+            got = list(_boundary_columns(lower_index, faces[d], skip))
+            assert got == list(boundary_columns_by_slicing(lower_index, faces[d], skip))
+
+
+@given(random_complexes)
+@settings(max_examples=150, deadline=None)
+def test_boundary_columns_match_slicing_on_random_complexes(cx):
+    _assert_columns_match_slicing(cx)
+
+
+def test_boundary_columns_match_slicing_with_torsion():
+    # sd^1 and sd^2 of RP^2: 31 and 181 vertices, torsion 2 in degree 1
+    sd1 = _subdivision(RP2)
+    sd2 = _subdivision(sd1)
+    for cx in (RP2, sd1, sd2):
+        assert pd.homology(cx, reduced=True).torsion[1] == (2,)
+        _assert_columns_match_slicing(cx)
 
 
 def test_boundary_dimensions_consistent():

@@ -382,10 +382,26 @@ def _trimmed(counts):
 
 
 def _packed_matches_lists(p):
-    """The packed walk's Betti numbers, after checking them against the list rows."""
+    """The packed walk's Betti numbers, after checking them against the list rows.
+
+    The walk pads them with 0 to one per degree of Δ(p), whose dimension is
+    p's length minus 2; the list rows stop at the longest falling chain.
+    """
     betti = _dual_lex_betti(p)
-    assert betti == _trimmed(dual_lex_betti_by_lists(p))
+    assert _trimmed(betti) == _trimmed(dual_lex_betti_by_lists(p))
+    if betti is not None:
+        assert len(betti) == max(p.length() - 1, 0)
     return betti
+
+
+def _certified_complex(p):
+    """``order_complex(p)``, after checking the dimension a certified one reads from its walk."""
+    cx = pd.order_complex(p)
+    if cx._certified_betti is not None:
+        assert cx._facets is None and cx.dim == p.length() - 2
+        for reduced in (False, True):
+            assert len(pd.homology(cx, reduced=reduced).betti) == cx.dim + 1
+    return cx
 
 
 def _routes_agree(p):
@@ -394,11 +410,12 @@ def _routes_agree(p):
     The walk must match its list-row reference, give Betti numbers exactly
     when ``verify_rao`` passes the certificate, and ``homology`` of the
     order complex, which answers from them, must equal the reduction of the
-    same facets.
+    same facets; a certified complex's dimension, read from them, must be
+    p's length minus 2.
     """
     ok, _ = pd.verify_rao(p.dual(), _dual_lex_certificate(p))
     assert (_packed_matches_lists(p) is not None) == ok
-    cx = pd.order_complex(p)
+    cx = _certified_complex(p)
     assert (cx._certified_betti is not None) == (ok and not cx.is_empty)
     checked = pd.SimplicialComplex(cx.vertices, cx.facets)
     for reduced in (False, True):
@@ -453,6 +470,8 @@ def test_the_walk_matches_its_list_reference_on_duals():
                 betti = _packed_matches_lists(q)
                 ok, why = pd.verify_rao(q.dual(), _dual_lex_certificate(q))
                 assert (betti is not None) == ok, (q.labels[q.top], why)
+                if ok:  # a failed certificate's chains are listed at once
+                    _certified_complex(q)
                 verdicts[why and why[: why.index(")") + 1]] += 1
     assert verdicts[None] and verdicts["condition (i)"] and verdicts["condition (ii)"]
 
@@ -461,8 +480,7 @@ def test_packed_rows_on_wide_and_narrow_slots():
     # P(40, 40): slots of 66 bits, wider than a machine word
     p = pd.proper_divisibility_poset((40, 40))
     assert max(p._chain_counts()).bit_length() == 66
-    betti = _packed_matches_lists(p)
-    assert betti + (0,) * (39 - len(betti)) == tuple(betti_rank(40, 40, i) for i in range(39))
+    assert _packed_matches_lists(p) == tuple(betti_rank(40, 40, i) for i in range(39))
     # five atoms: five chains, so slots of 3 bits, all of which the top's
     # four falling chains fill
     p = pd.Poset(["0", *"abcde", "1"], [[1, 2, 3, 4, 5], *[[6]] * 5, []])
@@ -471,7 +489,7 @@ def test_packed_rows_on_wide_and_narrow_slots():
     # the chain P(1500): one chain up to each element, slots of 1 bit
     p = pd.proper_divisibility_poset((1500,))
     assert max(p._chain_counts()) == 1
-    assert _packed_matches_lists(p) == ()
+    assert _packed_matches_lists(p) == (0,) * 1499
     assert _packed_matches_lists(face_poset(pd.SimplicialComplex(range(6), RP2_FACETS))) is None
 
 
@@ -488,7 +506,7 @@ def test_certified_betti_on_three_coordinates():
             checked = pd.SimplicialComplex(cx.vertices, cx.facets)
             want = pd.homology(checked, reduced=True)
             assert want.torsion == ((),) * len(want.betti)
-            assert betti + (0,) * (len(want.betti) - len(betti)) == want.betti, (a, b, c)
+            assert betti == want.betti, (a, b, c)
             certified += 1
     assert certified == 15
     # P(10, 10, 10): 1,001 elements, far past the chain guard
