@@ -6,8 +6,11 @@ labels, ...).  The cover relation is stored as the transitive reduction of
 the order; comparability closures are kept as integer bitmasks so that
 order queries are cheap even on posets with a few thousand elements.
 
-Posets are immutable after construction and all queries are pure, so
-instances can be shared freely between threads.
+Posets are immutable after construction and all queries are pure.  What
+a poset fills in on first read (the masks ``above`` and ``below``, the
+label index, and the cover direction its constructor did not store) is a
+benign race: two threads may both compute it, with equal results, and
+either one is kept.  So instances can be shared freely between threads.
 
 Proper products are built straight from the factors' covers.  P(a) is
 the proper product of the chains C_{a_k}; ``proper_divisibility_poset``
@@ -39,13 +42,21 @@ sorting; P(a) reads the same order off two ranges where at most two
 coordinates count.
 
 Rule-built posets are assembled from such covers directly, without the
-checks that ``Poset(...)`` applies to covers from outside.
+checks that ``Poset(...)`` applies to covers from outside.  They store
+only the direction their rule yields: ``chain``, ``boolean_lattice``,
+``proper_divisibility_poset`` and ``proper_product`` store down-covers
+and hand over the bottom and top they know, while ``Poset(...)`` stores
+both directions.  The other direction is inverted the first time it is
+read, and ``dual()`` swaps the two.  The certificate walk, ``verify_rao``
+on the dual, ``mobius``, ``length`` and the falling-chain counts read
+only the down-covers of P(a), so they never pay for the inversion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain as _concat
+from itertools import compress as _compress
 from itertools import islice as _islice
 from itertools import product as _cartesian
 from math import prod
@@ -85,23 +96,26 @@ class Poset:
 
     ``upcovers[i]`` lists the indices that cover element ``i`` and
     ``downcovers[i]`` those it covers, both ascending.  ``bottom``
-    and ``top`` are detected automatically (present iff the poset has a
-    unique minimal / maximal element).
+    and ``top`` are the unique minimal and maximal elements, or None
+    where there is none.
 
     ``Poset(labels, upcovers)`` takes labels and covers from outside: it
     refuses repeated labels, sorts and de-duplicates the covers and refuses
-    out-of-range targets, cycles and covers implied by longer paths.  The
-    module's constructors skip that step, since their rules yield distinct
-    labels and the sorted transitive reduction directly; ``dual()`` swaps
-    fields and shares them with its original.
+    out-of-range targets, cycles and covers implied by longer paths, then
+    stores both directions and finds the bottom and top.  The module's
+    constructors skip that step, since their rules yield distinct labels,
+    the sorted transitive reduction and the ends directly; they store the
+    down-covers alone, and ``upcovers`` inverts them once, on first read
+    (``downcovers`` does the same the other way round).  ``dual()`` swaps
+    the two directions and shares them with its original.
     """
 
     __slots__ = (
         "labels",
-        "upcovers",
+        "_up",
+        "_down",
         "bottom",
         "top",
-        "downcovers",
         "_above",
         "_below",
         "_index",
@@ -117,25 +131,29 @@ class Poset:
         ups = tuple(tuple(sorted(set(c))) for c in upcovers)
         if len(ups) != n:
             raise ValueError("labels and upcovers must have equal length")
-        down = [[] for _ in range(n)]
-        for i, covers in enumerate(ups):
-            for j in covers:
-                if not 0 <= j < n:
-                    raise ValueError(f"cover target {j} out of range")
-                down[j].append(i)  # i ascends, so each list is sorted
-        self._assemble(labels, ups, tuple(map(tuple, down)))
+        for covers in ups:  # sorted, so only the first or last can be out of range
+            if covers and (covers[0] < 0 or covers[-1] >= n):
+                j = covers[0] if covers[0] < 0 else covers[-1]
+                raise ValueError(f"cover target {j} out of range")
+        self._assemble(labels, _invert(ups), ups)
         self._check_reduced()
 
-    def _assemble(self, labels, upcovers, downcovers, topo=None):
-        # covers must be sorted, distinct, in range and mutually inverse;
-        # ``topo`` is a linear extension, or None to compute one (raises on cycles)
-        self.labels, self.upcovers, self.downcovers = labels, upcovers, downcovers
+    def _assemble(self, labels, downcovers, upcovers=None, topo=None, ends=None):
+        # covers must be sorted, distinct, in range and mutually inverse, and
+        # ``upcovers`` None leaves them to be inverted on first read; ``topo``
+        # is a linear extension, or None to compute one (raises on cycles);
+        # ``ends`` is (bottom, top), or None to look for them in both directions
+        self.labels, self._down, self._up = labels, downcovers, upcovers
         self._above = self._below = self._index = None
         self._topo = self._toposort() if topo is None else topo
-        minimals = [i for i, d in enumerate(downcovers) if not d]
-        maximals = [i for i, u in enumerate(upcovers) if not u]
-        self.bottom = minimals[0] if len(minimals) == 1 else None
-        self.top = maximals[0] if len(maximals) == 1 else None
+        if ends is None:
+            minimals = [i for i, d in enumerate(downcovers) if not d]
+            maximals = [i for i, u in enumerate(self.upcovers) if not u]
+            ends = (
+                minimals[0] if len(minimals) == 1 else None,
+                maximals[0] if len(maximals) == 1 else None,
+            )
+        self.bottom, self.top = ends
         return self
 
     # -- basic structure ------------------------------------------------
@@ -156,15 +174,30 @@ class Poset:
             self._index = {lab: i for i, lab in enumerate(self.labels)}
         return self._index[label]
 
+    @property
+    def upcovers(self):
+        """Per element, the indices that cover it, ascending."""
+        if self._up is None:
+            self._up = _invert(self._down)
+        return self._up
+
+    @property
+    def downcovers(self):
+        """Per element, the indices that it covers, ascending."""
+        if self._down is None:
+            self._down = _invert(self._up)
+        return self._down
+
     def _toposort(self):
         n = len(self.labels)
+        ups = self.upcovers
         indeg = [len(d) for d in self.downcovers]
         stack = [i for i in range(n) if indeg[i] == 0]
         order = []
         while stack:
             i = stack.pop()
             order.append(i)
-            for j in self.upcovers[i]:
+            for j in ups[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     stack.append(j)
@@ -195,10 +228,11 @@ class Poset:
     def above(self):
         """Bitmask per element of everything >= it (reflexive)."""
         if self._above is None:
+            ups = self.upcovers
             masks = [0] * len(self.labels)
             for i in reversed(self._topo):
                 m = 1 << i
-                for j in self.upcovers[i]:
+                for j in ups[i]:
                     m |= masks[j]
                 masks[i] = m
             self._above = masks
@@ -208,10 +242,11 @@ class Poset:
     def below(self):
         """Bitmask per element of everything <= it (reflexive)."""
         if self._below is None:
+            down = self.downcovers
             masks = [0] * len(self.labels)
             for i in self._topo:
                 m = 1 << i
-                for j in self.downcovers[i]:
+                for j in down[i]:
                     m |= masks[j]
                 masks[i] = m
             self._below = masks
@@ -260,14 +295,18 @@ class Poset:
         """Indices covering the bottom element, in index order."""
         if self.bottom is None:
             raise ValueError("poset has no bottom element")
-        return self.upcovers[self.bottom]
+        if self._up is not None:
+            return self._up[self.bottom]
+        # x covers the bottom iff the bottom is x's only down-cover
+        only = (self.bottom,)
+        return tuple(_compress(range(len(self._down)), map(only.__eq__, self._down)))
 
     # -- derived posets ----------------------------------------------------
 
     def dual(self) -> "Poset":
         """Same elements with every cover reversed; shares this poset's structure."""
         d = Poset.__new__(Poset)
-        d.labels, d.upcovers, d.downcovers = self.labels, self.downcovers, self.upcovers
+        d.labels, d._up, d._down = self.labels, self._down, self._up
         d.bottom, d.top, d._above, d._below = self.top, self.bottom, self._below, self._above
         d._index, d._topo = self._index, self._topo[::-1]
         return d
@@ -516,6 +555,18 @@ class Poset:
         return poset
 
 
+def _invert(covers) -> tuple[tuple[int, ...], ...]:
+    """The reversed cover lists: entry j lists every i with j in ``covers[i]``.
+
+    i ascends, so each list comes out sorted.
+    """
+    out = [[] for _ in covers]
+    for i, targets in enumerate(covers):
+        for j in targets:
+            out[j].append(i)
+    return tuple(map(tuple, out))
+
+
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     digits = format(mask, "b")[::-1]
@@ -540,10 +591,9 @@ def chain(length: int) -> Poset:
     """Bounded total order with ``length + 1`` elements."""
     if length < 0:
         raise ValueError("chain length must be non-negative")
-    n = length + 1
-    ups = tuple((i + 1,) for i in range(length)) + ((),)
+    ids = tuple(range(length + 1))
     downs = ((),) + tuple((i,) for i in range(length))
-    return Poset.__new__(Poset)._assemble(tuple(range(n)), ups, downs, tuple(range(n)))
+    return Poset.__new__(Poset)._assemble(ids, downs, topo=ids, ends=(0, length))
 
 
 def boolean_lattice(n: int) -> Poset:
@@ -552,10 +602,9 @@ def boolean_lattice(n: int) -> Poset:
         raise ValueError("n must be non-negative")
     if n > DEFAULT_BOOLEAN_GUARD:
         raise SizeGuardError(f"boolean lattice guard is n <= {DEFAULT_BOOLEAN_GUARD}")
-    size = 1 << n
-    ups = tuple(tuple(s | 1 << b for b in range(n) if not s >> b & 1) for s in range(size))
-    downs = tuple(tuple(s ^ 1 << b for b in reversed(range(n)) if s >> b & 1) for s in range(size))
-    return Poset.__new__(Poset)._assemble(tuple(range(size)), ups, downs, tuple(range(size)))
+    ids = tuple(range(1 << n))
+    downs = tuple(tuple(s ^ 1 << b for b in reversed(range(n)) if s >> b & 1) for s in ids)
+    return Poset.__new__(Poset)._assemble(ids, downs, topo=ids, ends=(0, len(ids) - 1))
 
 
 def proper_divisibility_poset(a) -> Poset:
@@ -605,7 +654,6 @@ def proper_divisibility_poset(a) -> Poset:
     if any(a):
         members.append(a)
     ids = tuple(range(len(members)))  # slices of it share the index objects
-    ups = [[] for _ in members]
     downs = [()]  # index 0 is the bottom
     for i in range(1, len(members)):
         # the box difference over the coordinates with y_k >= 2, as offsets
@@ -624,10 +672,8 @@ def proper_divisibility_poset(a) -> Poset:
             row = [((hi,), range(0, hi + s, s)) for hi, s in big]
             down = tuple(_box_difference(row))
         downs.append(down)
-        for x in down:
-            ups[x].append(i)  # i ascends, so each list is sorted
     return Poset.__new__(Poset)._assemble(
-        tuple(members), tuple(map(tuple, ups)), tuple(downs), ids
+        tuple(members), tuple(downs), topo=ids, ends=(0, len(members) - 1)
     )
 
 
@@ -720,12 +766,11 @@ def _product_poset(factors) -> Poset:
     table = [list(zip(c, r)) for c, r in zip(lower, rest)]
     members = list(_cartesian(*coords))
     rows = _cartesian(*[list(map(t.__getitem__, c)) for t, c in zip(table, coords)])
+    bottom = top = sum(map(list.__getitem__, at, bottoms))
     if tops != bottoms:
         top = at[lead][tops[lead]]
         members.insert(top, tops)
         rows = _concat(_islice(rows, top), [tuple(map(list.__getitem__, table, tops))], rows)
-    bottom = sum(map(list.__getitem__, at, bottoms))
-    ups = [[] for _ in members]
     downs = []
     for i, row in enumerate(rows):
         diff = _box_difference(row)
@@ -734,15 +779,14 @@ def _product_poset(factors) -> Poset:
         else:  # every y_k is 0_k or an atom: rule (b)
             down = () if i == bottom else (bottom,)
         downs.append(down)
-        for x in down:
-            ups[x].append(i)  # i ascends, so each list is sorted
     # chains and Boolean lattices label by index; where index order extends
-    # every factor's order, lexicographic order extends the product's
+    # every factor's order, lexicographic order extends the product's, and
+    # elsewhere ``_toposort`` reads, and so inverts, the up-covers
     ordered = all(p._topo == tuple(range(len(p))) for p in factors)
     if any(p.labels != tuple(range(len(p))) for p in factors):
         members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
     topo = tuple(range(len(members))) if ordered else None
-    return Poset.__new__(Poset)._assemble(tuple(members), tuple(map(tuple, ups)), tuple(downs), topo)
+    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), topo=topo, ends=(bottom, top))
 
 
 def _box_difference(row):

@@ -366,6 +366,9 @@ def _assert_assembled_like_checked(p):
     d = p.dual()
     assert d.above == p.below
     dd = d.dual()
+    # both cover directions were read above, so the slots compare covers,
+    # not two unread directions
+    assert None not in (dd._up, dd._down)
     for field in pd.Poset.__slots__:
         assert getattr(dd, field) == getattr(p, field), field
 
@@ -397,6 +400,58 @@ def test_rule_built_posets_match_the_checking_constructor():
 def test_rule_built_products_of_random_factors_match_the_checking_constructor(drawn):
     factors = [p.dual() if flip else p for p, flip in drawn]
     _assert_assembled_family(pd.proper_product(*factors))
+
+
+# -- the cover direction a constructor stores ----------------------------------
+
+
+def _rule_built_builders():
+    """Builders of chains, Boolean lattices, every P(a) with n <= 3 and sum
+    <= 12, and products of index-ordered factors, one-element ones included."""
+    builders = [lambda k=k: pd.chain(k) for k in range(5)]
+    builders += [lambda n=n: pd.boolean_lattice(n) for n in range(5)]
+    builders += [
+        lambda vec=vec: pd.proper_divisibility_poset(vec)
+        for n in (1, 2, 3)
+        for vec in cartesian(range(13), repeat=n)
+        if sum(vec) <= 12
+    ]
+    factors = [
+        lambda: pd.chain(0),
+        lambda: pd.boolean_lattice(0),
+        lambda: pd.proper_divisibility_poset((0,)),
+        lambda: pd.chain(2),
+        lambda: pd.boolean_lattice(2),
+        lambda: pd.proper_divisibility_poset((2, 3)),
+    ]
+    builders += [
+        lambda fs=fs: pd.proper_product(*(f() for f in fs))
+        for k in (2, 3)
+        for fs in cartesian(factors, repeat=k)
+    ]
+    return builders
+
+
+def test_rule_built_posets_store_down_covers_and_invert_on_first_read():
+    views = (lambda p: p, lambda p: p.dual(), lambda p: p.dual().dual())
+    for build in _rule_built_builders():
+        fresh = build()
+        # a return to eager inversion fills the up-cover slot here; atoms()
+        # reads the down-covers without filling it
+        assert fresh._up is None and fresh._down is not None
+        assert fresh.dual()._down is None
+        fresh.atoms()
+        assert fresh._up is None
+        for view in views:
+            for first in ("upcovers", "downcovers"):
+                r = view(build())
+                atoms = r.atoms()
+                getattr(r, first)
+                q = pd.Poset(r.labels, r.upcovers)
+                fields = ("labels", "upcovers", "downcovers", "bottom", "top")
+                assert [getattr(r, f) for f in fields] == [getattr(q, f) for f in fields]
+                assert r.is_bounded
+                assert atoms == r.atoms() == r.upcovers[r.bottom] == q.atoms()
 
 
 # -- dual, atoms, chains ---------------------------------------------------
