@@ -65,7 +65,6 @@ from .errors import SizeGuardError
 
 DEFAULT_ELEMENT_GUARD = 10**6
 DEFAULT_CHAIN_GUARD = 10**6
-DEFAULT_BOOLEAN_GUARD = 12
 DEFAULT_ISO_GUARD = 5000
 
 
@@ -189,21 +188,26 @@ class Poset:
         return self._down
 
     def _toposort(self):
+        # Kahn's algorithm from the maximal elements down, reversed: it reads
+        # only the down-covers, so rule-built posets invert no cover for it
         n = len(self.labels)
-        ups = self.upcovers
-        indeg = [len(d) for d in self.downcovers]
-        stack = [i for i in range(n) if indeg[i] == 0]
+        down = self.downcovers
+        pending = [0] * n  # per element, its up-covers not yet taken
+        for d in down:
+            for j in d:
+                pending[j] += 1
+        stack = [i for i in range(n) if pending[i] == 0]
         order = []
         while stack:
             i = stack.pop()
             order.append(i)
-            for j in ups[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
+            for j in down[i]:
+                pending[j] -= 1
+                if pending[j] == 0:
                     stack.append(j)
         if len(order) != n:
             raise ValueError("cover relation contains a cycle")
-        return tuple(order)
+        return tuple(reversed(order))
 
     def _check_reduced(self):
         # a cover i -> j is redundant iff it is implied by a path of length >= 2,
@@ -597,11 +601,20 @@ def chain(length: int) -> Poset:
 
 
 def boolean_lattice(n: int) -> Poset:
-    """Subsets of an n-set ordered by inclusion; labels are subset bitmasks."""
+    """Subsets of an n-set ordered by inclusion; labels are subset bitmasks.
+
+    The element guard bounds the 2**n elements and the n * 2**(n - 1)
+    covers, which are counted before anything is built.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > DEFAULT_BOOLEAN_GUARD:
-        raise SizeGuardError(f"boolean lattice guard is n <= {DEFAULT_BOOLEAN_GUARD}")
+    # 2**n passes the guard iff n is below its bit length, so no count is
+    # built for a huge n; past n = 1 the covers outnumber the elements
+    if n >= DEFAULT_ELEMENT_GUARD.bit_length():
+        raise SizeGuardError(f"B{n} would have 2**{n} elements (guard {DEFAULT_ELEMENT_GUARD})")
+    covers = n << n >> 1
+    if covers > DEFAULT_ELEMENT_GUARD:
+        raise SizeGuardError(f"B{n} would have {covers} covers (guard {DEFAULT_ELEMENT_GUARD})")
     ids = tuple(range(1 << n))
     downs = tuple(tuple(s ^ 1 << b for b in reversed(range(n)) if s >> b & 1) for s in ids)
     return Poset.__new__(Poset)._assemble(ids, downs, topo=ids, ends=(0, len(ids) - 1))
@@ -781,7 +794,7 @@ def _product_poset(factors) -> Poset:
         downs.append(down)
     # chains and Boolean lattices label by index; where index order extends
     # every factor's order, lexicographic order extends the product's, and
-    # elsewhere ``_toposort`` reads, and so inverts, the up-covers
+    # elsewhere ``_toposort`` finds one from the down-covers
     ordered = all(p._topo == tuple(range(len(p))) for p in factors)
     if any(p.labels != tuple(range(len(p))) for p in factors):
         members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]

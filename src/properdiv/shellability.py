@@ -67,9 +67,6 @@ from . import posets
 from .errors import SizeGuardError, face_guard_default
 from .posets import Poset, as_multidegree, proper_divisibility_poset
 
-DEFAULT_RAO_GUARD = 24
-
-
 # -- certificates -----------------------------------------------------------
 
 
@@ -266,63 +263,102 @@ def search_rao(p: Poset):
 
     Returns the first certificate in lexicographic permutation order (with
     constrained atoms kept in front), or None once the space is exhausted.
+    In an interval, the atoms placed so far are those in the prefix mask,
+    the union of their up-sets, so the mask fixes every later try; a mask
+    from which no ordering was completed is not reached again.
+
+    The search counts its steps against the chain guard and raises
+    :class:`SizeGuardError` past it.  Entering an interval costs a step per
+    atom, as it sorts them into those that must lead and the rest.  Trying
+    an atom at a position costs one step, and one more per up-cover of the
+    atom where condition (ii) reads them (where an earlier atom's up-set
+    meets the atom's).
     """
-    if not p.is_bounded:
-        raise ValueError("poset must be bounded")
-    if len(p) > DEFAULT_RAO_GUARD:
-        raise SizeGuardError(f"search guard is {DEFAULT_RAO_GUARD} elements")
     up, above, up_mask = _interval_masks(p)
+    labels = p.labels
+    guard = posets.DEFAULT_CHAIN_GUARD
+    refusal = f"atom-ordering search made more than {guard} steps"
     memo: dict = {}
-
-    def search(x: int, required_first: int):
-        key = (x, required_first)
-        if key in memo:
-            return memo[key]
+    steps = 0
+    # depth-first on an explicit stack of interval frames [memo key, atoms
+    # that must lead, the other atoms, atoms placed, their certificates,
+    # position frames, failed prefix masks]: certificates nest once per step
+    # of a maximal chain, deeper than the interpreter's recursion limit.
+    # Position j's frame [k, prefix mask] holds the index past the last atom
+    # tried there, among the leading atoms while j is below their number and
+    # among the others after, and the up-sets of the atoms placed before it.
+    stack: list = []
+    x, required = p.bottom, 0
+    while True:
+        # enter the interval above x, where the atoms in ``required`` lead
         atoms = up[x]
+        steps += len(atoms)
+        if steps > guard:
+            raise SizeGuardError(refusal)
         if above[x].bit_count() <= 2:  # the interval has length <= 1
-            cert = RaoCertificate(
-                ordering=tuple(p.labels[i] for i in atoms), children=None
-            )
-            memo[key] = cert
-            return cert
-        required = posets._bits(required_first)
-        rest = [q for q in atoms if not (required_first >> q) & 1]
-        ordering: list[int] = []
-        children: list[RaoCertificate] = []
-
-        def extend(prefix_mask: int):
-            j = len(ordering)
-            if j == len(atoms):
-                return True
-            pool = required if j < len(required) else rest
-            for atom in pool:
-                if atom in ordering:
+            result = memo[x, required] = RaoCertificate(tuple(map(labels.__getitem__, atoms)), None)
+            answered = True
+        else:
+            rest = [q for q in atoms if not (required >> q) & 1]
+            stack.append([(x, required), posets._bits(required), rest, [], [], [[0, 0]], set()])
+            answered = False
+        # advance the innermost open interval; while ``answered``, ``result``
+        # is the certificate, or None, of the atom its last position tried
+        while stack:
+            key, lead, rest, ordering, children, positions, failed = stack[-1]
+            position = positions[-1]
+            k, prefix = position
+            pool = lead if len(positions) <= len(lead) else rest
+            if answered:
+                answered = False
+                if result is not None:
+                    atom = pool[k - 1]
+                    ordering.append(atom)
+                    children.append(result)
+                    if len(ordering) < len(lead) + len(rest):
+                        positions.append([0, prefix | above[atom]])
+                        continue
+                    stack.pop()
+                    result = memo[key] = RaoCertificate(
+                        tuple(map(labels.__getitem__, ordering)), tuple(children)
+                    )
+                    answered = True
                     continue
-                if not _condition_ii_ok(up, above, atom, prefix_mask):
+            while k < len(pool):
+                atom = pool[k]
+                k += 1
+                placed = prefix >> atom & 1  # a placed atom's up-set holds it, and no other atom
+                trigger = not placed and above[atom] & prefix
+                steps += 1 + len(up[atom]) if trigger else 1
+                if steps > guard:
+                    raise SizeGuardError(refusal)
+                if placed or trigger and not _condition_ii_ok(up, above, atom, prefix):
+                    continue
+                if prefix | above[atom] in failed:  # no ordering was completed from there
                     continue
                 # the atoms of [atom, top] above an earlier atom must lead there
-                child = search(atom, up_mask[atom] & prefix_mask)
-                if child is None:
-                    continue
-                ordering.append(atom)
-                children.append(child)
-                if extend(prefix_mask | above[atom]):
-                    return True
-                ordering.pop()
-                children.pop()
-            return False
-
-        if extend(0):
-            cert = RaoCertificate(
-                ordering=tuple(p.labels[i] for i in ordering),
-                children=tuple(children),
-            )
+                x, required = atom, up_mask[atom] & prefix
+                position[0] = k
+                answered = (x, required) in memo
+                if answered:
+                    result = memo[x, required]
+                break
+            else:
+                # every atom was tried here: undo the previous position's
+                failed.add(prefix)
+                positions.pop()
+                if positions:
+                    ordering.pop()
+                    children.pop()
+                else:
+                    stack.pop()
+                    result = memo[key] = None
+                    answered = True
+                continue
+            if not answered:
+                break  # enter the interval above the atom
         else:
-            cert = None
-        memo[key] = cert
-        return cert
-
-    return search(p.bottom, 0)
+            return result
 
 
 # -- the dual-lexicographic certificate --------------------------------------

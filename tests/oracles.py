@@ -16,9 +16,11 @@ the certificate in a pass of its own from the top down, with condition
 (ii) as a union of the witnesses' down-sets, and keeps each row of counts
 as a list, for the walk's single bottom-up pass with its popcount test and
 packed rows; ``falling_chain_counts_by_lists``, with list rows, for
-the packed ones; and ``boundary_columns_by_slicing``, which finds each
-face's rows by slicing one vertex out at a time, for the boundary
-columns read from ``combinations``.
+the packed ones; ``search_rao_by_recursion``, the atom-ordering search as
+one recursive call per interval and per position, for its explicit stack;
+and ``boundary_columns_by_slicing``, which finds each face's rows by
+slicing one vertex out at a time, for the boundary columns read from
+``combinations``.
 """
 
 from collections import Counter
@@ -27,6 +29,7 @@ from itertools import combinations, product, zip_longest
 from math import gcd
 
 from properdiv import posets
+from properdiv.shellability import RaoCertificate
 
 
 def open_part(poset):
@@ -425,3 +428,64 @@ def falling_chain_counts_by_lists(a, b):
         steps = down if down[-1] == bottom else down[:-1]
         counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
     return counts[poset.top]
+
+
+def search_rao_by_recursion(p):
+    """``search_rao`` as one recursive call per interval and per position.
+
+    It tries candidates in the same order, keeps the same memo and applies
+    condition (ii) as the union of the witnesses' up-sets, without a step
+    guard: its depth grows with the poset's length, so it serves small inputs.
+    """
+    up, above = p.upcovers, p.above
+    up_mask = [sum(1 << q for q in ups) for ups in up]
+    memo = {}
+
+    def condition_ii(atom, prefix_mask):
+        trigger = above[atom] & prefix_mask
+        if not trigger:
+            return True
+        witness = 0
+        for q in up[atom]:
+            if (prefix_mask >> q) & 1:
+                witness |= above[q]
+        return not (trigger & ~witness)
+
+    def search(x, required_first):
+        key = (x, required_first)
+        if key in memo:
+            return memo[key]
+        atoms = up[x]
+        if above[x].bit_count() <= 2:  # the interval has length <= 1
+            cert = memo[key] = RaoCertificate(tuple(p.labels[i] for i in atoms), None)
+            return cert
+        required = posets._bits(required_first)
+        rest = [q for q in atoms if not (required_first >> q) & 1]
+        ordering, children = [], []
+
+        def extend(prefix_mask):
+            j = len(ordering)
+            if j == len(atoms):
+                return True
+            for atom in required if j < len(required) else rest:
+                if atom in ordering or not condition_ii(atom, prefix_mask):
+                    continue
+                # the atoms of [atom, top] above an earlier atom must lead there
+                child = search(atom, up_mask[atom] & prefix_mask)
+                if child is None:
+                    continue
+                ordering.append(atom)
+                children.append(child)
+                if extend(prefix_mask | above[atom]):
+                    return True
+                ordering.pop()
+                children.pop()
+            return False
+
+        cert = None
+        if extend(0):
+            cert = RaoCertificate(tuple(p.labels[i] for i in ordering), tuple(children))
+        memo[key] = cert
+        return cert
+
+    return search(p.bottom, 0)

@@ -171,9 +171,12 @@ def test_homology_parse_error(capsys):
 
 
 def test_homology_guard_exit(capsys):
+    # B14 builds, but its 16,384 bitmasks skip the walk and its 14! maximal
+    # chains are counted past the face guard; B17 is refused before it is built
     code, _, err = run(capsys, "homology", "bool", "14")
-    assert code == 3
-    assert "guard" in err
+    assert (code, err) == (3, "error: more than 2000000 maximal chains\n")
+    code, _, err = run(capsys, "homology", "bool", "17")
+    assert (code, err) == (3, "error: B17 would have 1114112 covers (guard 1000000)\n")
 
 
 def test_homology_long_chain_answers_from_its_certificate(capsys, monkeypatch):

@@ -91,8 +91,31 @@ def test_boolean_lattice():
     assert hall_mobius(pd.boolean_lattice(3)) == -1
     for n in (3, 4):
         assert len(pd.boolean_lattice(n).atoms()) == n
-    with pytest.raises(pd.SizeGuardError):
-        pd.boolean_lattice(13)
+
+
+def test_boolean_cover_guard_is_exact(monkeypatch):
+    # B4 has 16 elements and 4 * 8 covers, B5 32 elements and 5 * 16 covers
+    for n, size, covers in [(4, 16, 32), (5, 32, 80)]:
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", covers)
+        b = pd.boolean_lattice(n)
+        assert (len(b), sum(map(len, b.downcovers))) == (size, covers)
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", covers - 1)
+        with pytest.raises(pd.SizeGuardError, match=f"^B{n} would have {covers} covers "):
+            pd.boolean_lattice(n)
+
+
+def test_boolean_guard_refuses_before_building():
+    # B17's 1,114,112 covers would hold tens of MB once built
+    tracemalloc.start()
+    try:
+        with pytest.raises(pd.SizeGuardError, match="^B17 would have 1114112 covers "):
+            pd.boolean_lattice(17)
+        with pytest.raises(pd.SizeGuardError, match=r"^B1000000000 would have 2\*\*1000000000 elements "):
+            pd.boolean_lattice(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_proper_div_poset_sizes_and_length():
@@ -407,7 +430,8 @@ def test_rule_built_products_of_random_factors_match_the_checking_constructor(dr
 
 def _rule_built_builders():
     """Builders of chains, Boolean lattices, every P(a) with n <= 3 and sum
-    <= 12, and products of index-ordered factors, one-element ones included."""
+    <= 12, and products of index-ordered factors, one-element ones included,
+    and of a dual, whose index order is no linear extension."""
     builders = [lambda k=k: pd.chain(k) for k in range(5)]
     builders += [lambda n=n: pd.boolean_lattice(n) for n in range(5)]
     builders += [
@@ -423,6 +447,7 @@ def _rule_built_builders():
         lambda: pd.chain(2),
         lambda: pd.boolean_lattice(2),
         lambda: pd.proper_divisibility_poset((2, 3)),
+        lambda: pd.proper_divisibility_poset((2, 3)).dual(),
     ]
     builders += [
         lambda fs=fs: pd.proper_product(*(f() for f in fs))

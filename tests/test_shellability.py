@@ -20,6 +20,7 @@ from oracles import (
     dual_lex_betti_by_lists,
     falling_chain_counts_by_lists,
     falling_chains_by_definition,
+    search_rao_by_recursion,
     verify_rao_by_generators,
 )
 from strategies import RP2_FACETS, bounded_posets, face_poset, small_factors
@@ -223,40 +224,59 @@ def test_search_rao_p44_dual_succeeds():
 
 def test_search_rao_chain():
     assert pd.search_rao(pd.chain(4)) is not None
+    # certificates nest once per step, deeper than the recursion limit
+    p = pd.chain(1500)
+    assert pd.verify_rao(p, pd.search_rao(p)) == (True, None)
 
 
-def test_search_rao_guard():
-    with pytest.raises(pd.SizeGuardError):
-        pd.search_rao(pd.boolean_lattice(5))
+def test_search_rao_guard(monkeypatch):
+    # B5 needs 443 steps: 117 for its atoms as 48 intervals are entered,
+    # 183 for the atoms tried and 143 for the up-covers condition (ii) read
+    b5 = pd.boolean_lattice(5)
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 443)
+    assert pd.verify_rao(b5, pd.search_rao(b5)) == (True, None)
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 442)
+    with pytest.raises(pd.SizeGuardError, match="^atom-ordering search made more than 442 steps$"):
+        pd.search_rao(b5)
+
+
+def _assert_search_matches_reference(p):
+    """``search_rao`` finds the recursive reference's certificate, which verifies, or both None."""
+    cert, want = pd.search_rao(p), search_rao_by_recursion(p)
+    assert (cert is None) == (want is None)
+    if cert is not None:
+        assert cert.to_json_dict() == want.to_json_dict()
+        assert pd.verify_rao(p, cert) == (True, None)
+    return cert
 
 
 @given(bounded_posets())
 @settings(max_examples=80, deadline=None)
 def test_search_results_verify_on_random_posets(p):
-    cert = pd.search_rao(p)
-    if cert is not None:
-        ok, why = pd.verify_rao(p, cert)
-        assert ok, why
+    _assert_search_matches_reference(p)
 
 
 def test_search_results_always_verify_on_small_corpus():
+    # P(a) with up to three coordinates summing to at most 8, Boolean
+    # lattices, products of chains and Boolean lattices, the face poset of
+    # RP^2 (no certificate: its torsion rules one out), and all their duals
     corpus = [
-        pd.chain(2),
-        pd.boolean_lattice(2),
-        pd.boolean_lattice(3),
-        pd.proper_divisibility_poset((2, 2)),
-        _dual_pdiv((2, 3)),
-        _dual_pdiv((3, 3)),
-        pd.proper_divisibility_poset((2, 2, 2)),
-        _dual_pdiv((2, 2, 2)),
-        pd.proper_product(pd.chain(2), pd.boolean_lattice(2)),
+        pd.proper_divisibility_poset(vec)
+        for n in range(1, 4)
+        for vec in cartesian(range(9), repeat=n)
+        if sum(vec) <= 8
     ]
-    for p in corpus:
-        assert len(p) <= 20
-        cert = pd.search_rao(p)
-        if cert is not None:
-            ok, why = pd.verify_rao(p, cert)
-            assert ok, why
+    corpus += [pd.boolean_lattice(n) for n in range(6)]
+    corpus += map(_product, ["C1xpC1", "C2xpB2", "C3xpC3", "B2xpB2", "B2xpB3", "B3xpB3", "B2xpC2xpC1"])
+    corpus.append(face_poset(pd.SimplicialComplex(range(6), RP2_FACETS)))
+    missing = [
+        q.labels[q.top]
+        for p in corpus
+        for q in (p, p.dual())
+        if _assert_search_matches_reference(q) is None
+    ]
+    # the paper's P(4, 4), with or without a zero coordinate; RP^2 both ways
+    assert missing == [(4, 4), (0, 4, 4), (4, 0, 4), (4, 4, 0), "1", "0"]
 
 
 # -- the dual-lex certificate ------------------------------------------------------
