@@ -27,7 +27,6 @@ from .posets import (
 )
 from .shellability import (
     _dual_lex_certificate,
-    _falling_chain_counts,
     betti_from_falling_chains,
     falling_chains,
     search_rao,
@@ -174,9 +173,9 @@ def cmd_falling(args) -> int:
     if args.count_only:
         # counted per element, without walking a chain
         histogram = {
-            k: c
-            for k, c in enumerate(_falling_chain_counts(args.a, args.b))
-            if c and args.length in (None, k)
+            i + 2: c
+            for i, c in enumerate(betti_from_falling_chains(args.a, args.b))
+            if c and args.length in (None, i + 2)
         }
         if args.json:
             print(json.dumps({str(k): v for k, v in histogram.items()}))

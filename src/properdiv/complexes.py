@@ -196,7 +196,7 @@ def _chain_facets(p: Poset) -> tuple[tuple[int, ...], ...]:
     if len(p) <= 2:  # the top covers the bottom or is the bottom: no open part
         return ()
     bottom, top = p.bottom, p.top
-    chains = p.maximal_chains(max_chains=face_guard_default())
+    chains = p.maximal_chains()
     renumber = [i - (i > bottom) - (i > top) for i in range(len(p))].__getitem__
     return tuple(sorted(tuple(sorted(map(renumber, c[1:-1]))) for c in chains))
 

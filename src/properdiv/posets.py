@@ -45,11 +45,13 @@ Rule-built posets are assembled from such covers directly, without the
 checks that ``Poset(...)`` applies to covers from outside.  They store
 only the direction their rule yields: ``chain``, ``boolean_lattice``,
 ``proper_divisibility_poset`` and ``proper_product`` store down-covers
-and hand over the bottom and top they know, while ``Poset(...)`` stores
-both directions.  The other direction is inverted the first time it is
-read, and ``dual()`` swaps the two.  The certificate walk, ``verify_rao``
-on the dual, ``mobius``, ``length`` and the falling-chain counts read
-only the down-covers of P(a), so they never pay for the inversion.
+and hand over the ends and a linear extension, which only ``Poset(...)``
+looks for; it stores both directions.  The other direction is inverted
+the first time it is read.  The certificate walk, ``verify_rao`` on the
+dual, ``mobius``, ``length`` and the falling-chain counts read only the
+down-covers of P(a), so they never pay for the inversion.  A poset and
+its dual share one store of covers, masks and label index (see
+``Poset``), so what either one fills in, the other finds.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from itertools import islice as _islice
 from itertools import product as _cartesian
 from math import prod
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, face_guard_default
 
 DEFAULT_ELEMENT_GUARD = 10**6
 DEFAULT_CHAIN_GUARD = 10**6
@@ -101,25 +103,17 @@ class Poset:
     ``Poset(labels, upcovers)`` takes labels and covers from outside: it
     refuses repeated labels, sorts and de-duplicates the covers and refuses
     out-of-range targets, cycles and covers implied by longer paths, then
-    stores both directions and finds the bottom and top.  The module's
-    constructors skip that step, since their rules yield distinct labels,
-    the sorted transitive reduction and the ends directly; they store the
-    down-covers alone, and ``upcovers`` inverts them once, on first read
-    (``downcovers`` does the same the other way round).  ``dual()`` swaps
-    the two directions and shares them with its original.
+    stores both directions and finds a linear extension ``_topo`` and the
+    ends.  The module's constructors skip that step, since their rules
+    yield distinct labels, the sorted transitive reduction, ``_topo`` and
+    the ends directly; they store the down-covers alone, and ``upcovers``
+    inverts them once, on first read.  ``_store`` holds the down-covers,
+    up-covers, ``below``, ``above`` and label index of the poset first
+    built, each None until filled in, for it (``_side`` 0) and every dual
+    (``_side`` 1), which reads position k of the first four as k ^ 1.
     """
 
-    __slots__ = (
-        "labels",
-        "_up",
-        "_down",
-        "bottom",
-        "top",
-        "_above",
-        "_below",
-        "_index",
-        "_topo",
-    )
+    __slots__ = ("labels", "bottom", "top", "_topo", "_store", "_side")
 
     def __init__(self, labels, upcovers):
         labels = tuple(labels)
@@ -134,25 +128,18 @@ class Poset:
             if covers and (covers[0] < 0 or covers[-1] >= n):
                 j = covers[0] if covers[0] < 0 else covers[-1]
                 raise ValueError(f"cover target {j} out of range")
-        self._assemble(labels, _invert(ups), ups)
+        downs = _invert(ups)
+        ends = [[i for i, c in enumerate(covers) if not c] for covers in (downs, ups)]
+        bottom, top = (e[0] if len(e) == 1 else None for e in ends)
+        self._assemble(labels, downs, self._toposort(downs), bottom, top, ups)
         self._check_reduced()
 
-    def _assemble(self, labels, downcovers, upcovers=None, topo=None, ends=None):
+    def _assemble(self, labels, downcovers, topo, bottom, top, upcovers=None):
         # covers must be sorted, distinct, in range and mutually inverse, and
         # ``upcovers`` None leaves them to be inverted on first read; ``topo``
-        # is a linear extension, or None to compute one (raises on cycles);
-        # ``ends`` is (bottom, top), or None to look for them in both directions
-        self.labels, self._down, self._up = labels, downcovers, upcovers
-        self._above = self._below = self._index = None
-        self._topo = self._toposort() if topo is None else topo
-        if ends is None:
-            minimals = [i for i, d in enumerate(downcovers) if not d]
-            maximals = [i for i, u in enumerate(self.upcovers) if not u]
-            ends = (
-                minimals[0] if len(minimals) == 1 else None,
-                maximals[0] if len(maximals) == 1 else None,
-            )
-        self.bottom, self.top = ends
+        # is a linear extension; ``bottom`` and ``top`` are the ends, or None
+        self.labels, self._topo, self.bottom, self.top = labels, topo, bottom, top
+        self._store, self._side = [downcovers, upcovers, None, None, None], 0
         return self
 
     # -- basic structure ------------------------------------------------
@@ -169,29 +156,33 @@ class Poset:
         return self.bottom is not None and self.top is not None
 
     def index_of(self, label) -> int:
-        if self._index is None:
-            self._index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._index[label]
+        store = self._store
+        if store[4] is None:
+            store[4] = {lab: i for i, lab in enumerate(self.labels)}
+        return store[4][label]
 
     @property
     def upcovers(self):
         """Per element, the indices that cover it, ascending."""
-        if self._up is None:
-            self._up = _invert(self._down)
-        return self._up
+        return self._covers(self._side ^ 1)
 
     @property
     def downcovers(self):
         """Per element, the indices that it covers, ascending."""
-        if self._down is None:
-            self._down = _invert(self._up)
-        return self._down
+        return self._covers(self._side)
 
-    def _toposort(self):
-        # Kahn's algorithm from the maximal elements down, reversed: it reads
-        # only the down-covers, so rule-built posets invert no cover for it
-        n = len(self.labels)
-        down = self.downcovers
+    def _covers(self, k):
+        # store position k, 0 or 1, inverted from the other on first read
+        store = self._store
+        if store[k] is None:
+            store[k] = _invert(store[k ^ 1])
+        return store[k]
+
+    @staticmethod
+    def _toposort(down):
+        # Kahn's algorithm from the maximal elements down, reversed, over the
+        # down-covers ``down``; only ``Poset(...)`` needs it
+        n = len(down)
         pending = [0] * n  # per element, its up-covers not yet taken
         for d in down:
             for j in d:
@@ -231,30 +222,21 @@ class Poset:
     @property
     def above(self):
         """Bitmask per element of everything >= it (reflexive)."""
-        if self._above is None:
-            ups = self.upcovers
-            masks = [0] * len(self.labels)
-            for i in reversed(self._topo):
-                m = 1 << i
-                for j in ups[i]:
-                    m |= masks[j]
-                masks[i] = m
-            self._above = masks
-        return self._above
+        return self._masks(self._side ^ 1)
 
     @property
     def below(self):
         """Bitmask per element of everything <= it (reflexive)."""
-        if self._below is None:
-            down = self.downcovers
-            masks = [0] * len(self.labels)
-            for i in self._topo:
-                m = 1 << i
-                for j in down[i]:
-                    m |= masks[j]
-                masks[i] = m
-            self._below = masks
-        return self._below
+        return self._masks(self._side)
+
+    def _masks(self, k):
+        # store position 2 + k: the closure along the covers at position k,
+        # which run down in this poset's order iff k is its side
+        store = self._store
+        if store[2 + k] is None:
+            order = self._topo if k == self._side else reversed(self._topo)
+            store[2 + k] = _closure(order, self._covers(k))
+        return store[2 + k]
 
     def le(self, i: int, j: int) -> bool:
         return bool((self.above[i] >> j) & 1)
@@ -299,37 +281,36 @@ class Poset:
         """Indices covering the bottom element, in index order."""
         if self.bottom is None:
             raise ValueError("poset has no bottom element")
-        if self._up is not None:
-            return self._up[self.bottom]
+        up, down = self._store[self._side ^ 1], self._store[self._side]
+        if up is not None:
+            return up[self.bottom]
         # x covers the bottom iff the bottom is x's only down-cover
         only = (self.bottom,)
-        return tuple(_compress(range(len(self._down)), map(only.__eq__, self._down)))
+        return tuple(_compress(range(len(down)), map(only.__eq__, down)))
 
     # -- derived posets ----------------------------------------------------
 
     def dual(self) -> "Poset":
-        """Same elements with every cover reversed; shares this poset's structure."""
+        """Same elements with every cover reversed; shares this poset's store."""
         d = Poset.__new__(Poset)
-        d.labels, d._up, d._down = self.labels, self._down, self._up
-        d.bottom, d.top, d._above, d._below = self.top, self.bottom, self._below, self._above
-        d._index, d._topo = self._index, self._topo[::-1]
+        d.labels, d._store, d._side = self.labels, self._store, self._side ^ 1
+        d.bottom, d.top, d._topo = self.top, self.bottom, self._topo[::-1]
         return d
 
     # -- chains ------------------------------------------------------------
 
-    def maximal_chains(self, max_chains: int | None = None):
+    def maximal_chains(self):
         """All inclusion-maximal chains as index tuples, in lexicographic order.
 
         Each chain runs from a minimal to a maximal element along covers; its
-        length is ``len(chain) - 1``.  ``max_chains`` defaults to DEFAULT_CHAIN_GUARD.
-        The chains are counted per element first, so more than ``max_chains``
-        raise :class:`SizeGuardError` before any is listed.
+        length is ``len(chain) - 1``.  The chains are counted per element
+        first, so more than the face guard (``face_guard_default()``) raise
+        :class:`SizeGuardError` before any is listed.
         """
-        if max_chains is None:
-            max_chains = DEFAULT_CHAIN_GUARD
+        guard = face_guard_default()
         upcovers = self.upcovers
-        if sum(c for c, ups in zip(self._chain_counts(), upcovers) if not ups) > max_chains:
-            raise SizeGuardError(f"more than {max_chains} maximal chains")
+        if sum(c for c, ups in zip(self._chain_counts(), upcovers) if not ups) > guard:
+            raise SizeGuardError(f"more than {guard} maximal chains")
         chains = []
         # depth-first with a stack of cover iterators, one per element of
         # the path below its end: chains may be longer than the
@@ -571,6 +552,20 @@ def _invert(covers) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
+def _closure(order, covers) -> list[int]:
+    """Per element, the bitmask of itself and all that ``covers`` reach from it.
+
+    ``order`` lists each element after every element its covers name.
+    """
+    masks = [0] * len(covers)
+    for i in order:
+        m = 1 << i
+        for j in covers[i]:
+            m |= masks[j]
+        masks[i] = m
+    return masks
+
+
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     digits = format(mask, "b")[::-1]
@@ -597,7 +592,7 @@ def chain(length: int) -> Poset:
         raise ValueError("chain length must be non-negative")
     ids = tuple(range(length + 1))
     downs = ((),) + tuple((i,) for i in range(length))
-    return Poset.__new__(Poset)._assemble(ids, downs, topo=ids, ends=(0, length))
+    return Poset.__new__(Poset)._assemble(ids, downs, ids, 0, length)
 
 
 def boolean_lattice(n: int) -> Poset:
@@ -617,7 +612,7 @@ def boolean_lattice(n: int) -> Poset:
         raise SizeGuardError(f"B{n} would have {covers} covers (guard {DEFAULT_ELEMENT_GUARD})")
     ids = tuple(range(1 << n))
     downs = tuple(tuple(s ^ 1 << b for b in reversed(range(n)) if s >> b & 1) for s in ids)
-    return Poset.__new__(Poset)._assemble(ids, downs, topo=ids, ends=(0, len(ids) - 1))
+    return Poset.__new__(Poset)._assemble(ids, downs, ids, 0, len(ids) - 1)
 
 
 def proper_divisibility_poset(a) -> Poset:
@@ -685,9 +680,7 @@ def proper_divisibility_poset(a) -> Poset:
             row = [((hi,), range(0, hi + s, s)) for hi, s in big]
             down = tuple(_box_difference(row))
         downs.append(down)
-    return Poset.__new__(Poset)._assemble(
-        tuple(members), tuple(downs), topo=ids, ends=(0, len(members) - 1)
-    )
+    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), ids, 0, len(members) - 1)
 
 
 def proper_product(*factors: Poset) -> Poset:
@@ -792,14 +785,22 @@ def _product_poset(factors) -> Poset:
         else:  # every y_k is 0_k or an atom: rule (b)
             down = () if i == bottom else (bottom,)
         downs.append(down)
-    # chains and Boolean lattices label by index; where index order extends
-    # every factor's order, lexicographic order extends the product's, and
-    # elsewhere ``_toposort`` finds one from the down-covers
-    ordered = all(p._topo == tuple(range(len(p))) for p in factors)
+    # lexicographic order on the factors' topological positions, top tuple
+    # last, extends the product's order (xs < ys raises no coordinate's
+    # position, and some); for index-ordered factors it is index order, and
+    # any other factor has two elements or more, so the top tuple is apart
+    if all(p._topo == tuple(range(len(p))) for p in factors):
+        topo = tuple(range(len(members)))
+    else:
+        topo = [0]
+        for p, o in zip(factors, at):
+            steps = [o[y] for y in p._topo if y != p.top] or [o[p.top]]
+            topo = [t + s for t in topo for s in steps]
+        topo = tuple(topo) + (top,)
+    # chains and Boolean lattices label by index
     if any(p.labels != tuple(range(len(p))) for p in factors):
         members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
-    topo = tuple(range(len(members))) if ordered else None
-    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), topo=topo, ends=(bottom, top))
+    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), topo, bottom, top)
 
 
 def _box_difference(row):

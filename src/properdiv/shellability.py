@@ -572,12 +572,13 @@ def falling_chains(
     return out
 
 
-def _falling_chain_counts(a: int, b: int) -> list[int]:
-    """Entry k: the number of falling chains of the dual of P(a, b) with k steps.
+def betti_from_falling_chains(a: int, b: int) -> tuple[int, ...]:
+    """Reduced Betti ranks as falling-chain counts: degree i counts length i + 2.
 
-    Counted per element in packed rows (see the module docstring), up to
-    the longest falling chain, so no chain is built and the chain guard does
-    not apply.
+    The falling chains of the dual of P(a, b) are counted per element in
+    packed rows (see the module docstring), so no chain is built and the
+    chain guard does not apply.  The ranks are padded with 0 to a - 1
+    degrees, as ``formulas.betti_rank`` gives them.
     """
     if not (2 <= a <= b):
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
@@ -593,16 +594,8 @@ def _falling_chain_counts(a: int, b: int) -> list[int]:
         for k in d if d[-1] == bottom else d[:-1]:
             row += counts[k]
         counts[x] = row << width
-    return _unpack(counts[poset.top], width)
-
-
-def betti_from_falling_chains(a: int, b: int) -> tuple[int, ...]:
-    """Reduced Betti ranks as falling-chain counts: degree i counts length i + 2."""
-    counts = [0] * max(a - 1, 1)
-    for length, c in enumerate(_falling_chain_counts(a, b)):
-        if c:
-            counts[length - 2] += c
-    return tuple(counts)
+    betti = tuple(_unpack(counts[poset.top], width)[2:])
+    return betti + (0,) * (a - 1 - len(betti))
 
 
 def check_final_increments(chain) -> bool:

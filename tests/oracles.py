@@ -416,7 +416,7 @@ def dual_lex_betti_by_lists(poset):
 
 
 def falling_chain_counts_by_lists(a, b):
-    """``_falling_chain_counts`` with every row of counts a list; it may end in zeros."""
+    """``betti_from_falling_chains`` with every row of counts a list, one entry per length."""
     poset = posets.proper_divisibility_poset((a, b))
     bottom = poset.bottom
     counts = [None] * len(poset)
@@ -427,7 +427,8 @@ def falling_chain_counts_by_lists(a, b):
             continue
         steps = down if down[-1] == bottom else down[:-1]
         counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
-    return counts[poset.top]
+    betti = tuple(counts[poset.top][2:])
+    return betti + (0,) * (a - 1 - len(betti))
 
 
 def search_rao_by_recursion(p):

@@ -5,10 +5,9 @@ from pathlib import Path
 
 import properdiv as pd
 
-# size guards are module constants (PROPERDIV_GUARD_FACES for faces); this
-# keyword stays because order_complex holds the chains it lists, at once or
-# when a certified complex's facets are first read, to the face guard with it
-_GUARD_KEYWORDS_ALLOWED = {("Poset.maximal_chains", "max_chains")}
+# size guards are module constants, and PROPERDIV_GUARD_FACES overrides the
+# face guard; no public callable takes a limit as a keyword
+_GUARD_KEYWORDS_ALLOWED = set()
 
 
 def _public_callables():

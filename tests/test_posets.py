@@ -1,5 +1,7 @@
+import random
 import re
 import tracemalloc
+from collections import Counter
 from itertools import product as cartesian
 from math import prod
 
@@ -378,20 +380,23 @@ def test_guard_refuses_before_enumerating():
 # -- rule-built posets against the checking constructor -----------------------
 
 
+def _assert_linear_extension(p):
+    position = {x: k for k, x in enumerate(p._topo)}
+    assert sorted(position) == list(range(len(p)))
+    assert all(position[j] < position[i] for i, down in enumerate(p.downcovers) for j in down)
+
+
 def _assert_assembled_like_checked(p):
     """``p`` equals the poset the checking constructor builds from its covers."""
     q = pd.Poset(p.labels, p.upcovers)
     fields = ("labels", "upcovers", "downcovers", "bottom", "top")
     assert [getattr(p, f) for f in fields] == [getattr(q, f) for f in fields]
-    position = {x: k for k, x in enumerate(p._topo)}
-    assert sorted(position) == list(range(len(p)))
-    assert all(position[i] < position[j] for i, ups in enumerate(p.upcovers) for j in ups)
+    _assert_linear_extension(p)
     d = p.dual()
     assert d.above == p.below
+    # the double dual reads p's own store from p's side
     dd = d.dual()
-    # both cover directions were read above, so the slots compare covers,
-    # not two unread directions
-    assert None not in (dd._up, dd._down)
+    assert dd._store is p._store
     for field in pd.Poset.__slots__:
         assert getattr(dd, field) == getattr(p, field), field
 
@@ -457,16 +462,27 @@ def _rule_built_builders():
     return builders
 
 
+_STORED = ("downcovers", "upcovers", "below", "above")
+
+
+def _stored(p):
+    """What the store ``p`` shares with its dual holds, named as ``p`` reads it."""
+    names = {name for k, name in enumerate(_STORED) if p._store[k ^ p._side] is not None}
+    if p._store[4] is not None:
+        names.add("index")
+    return names
+
+
 def test_rule_built_posets_store_down_covers_and_invert_on_first_read():
     views = (lambda p: p, lambda p: p.dual(), lambda p: p.dual().dual())
     for build in _rule_built_builders():
         fresh = build()
-        # a return to eager inversion fills the up-cover slot here; atoms()
-        # reads the down-covers without filling it
-        assert fresh._up is None and fresh._down is not None
-        assert fresh.dual()._down is None
+        # a return to eager inversion fills the up-covers here; atoms()
+        # reads the down-covers without filling them
+        assert _stored(fresh) == {"downcovers"}
+        assert _stored(fresh.dual()) == {"upcovers"}
         fresh.atoms()
-        assert fresh._up is None
+        assert _stored(fresh) == {"downcovers"}
         for view in views:
             for first in ("upcovers", "downcovers"):
                 r = view(build())
@@ -477,6 +493,83 @@ def test_rule_built_posets_store_down_covers_and_invert_on_first_read():
                 assert [getattr(r, f) for f in fields] == [getattr(q, f) for f in fields]
                 assert r.is_bounded
                 assert atoms == r.atoms() == r.upcovers[r.bottom] == q.atoms()
+
+
+# -- one store for a poset and its dual ----------------------------------------
+
+_READS = [(view, name) for view in (0, 1) for name in _STORED + ("index",)]
+
+
+def _assert_pair_builds_once(p, reads):
+    """Read ``reads``, pairs of 0 for ``p`` or 1 for its dual and what to read,
+    in that order: each cover and mask direction of the pair is built once,
+    whichever poset reads it first, and the label index once."""
+    pair = (p, p.dual())
+    missing = {"_invert": p._store[:2].count(None), "_closure": p._store[2:4].count(None)}
+    built, indexes = Counter(), set()
+
+    def counted(name, original):
+        def count_call(*args):
+            built[name] += 1
+            return original(*args)
+
+        return count_call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in missing:
+            mp.setattr(posets, name, counted(name, getattr(posets, name)))
+        for view, name in reads:
+            if name == "index":
+                pair[view].index_of(p.labels[0])
+                indexes.add(id(p._store[4]))
+            else:
+                getattr(pair[view], name)
+    assert built == +Counter(missing) and len(indexes) == 1
+    d = p.dual()
+    assert p.upcovers is d.downcovers and p.downcovers is d.upcovers
+    assert p.below is d.above and p.above is d.below
+    q = pd.Poset(p.labels, p.upcovers)
+    assert (p.downcovers, p.below, p.above) == (q.downcovers, q.below, q.above)
+
+
+def test_rule_built_posets_and_their_duals_build_each_structure_once():
+    # every read comes first for about a tenth of the builders
+    for i, build in enumerate(_rule_built_builders()):
+        p = build() if i % 2 else build().dual()
+        _assert_pair_builds_once(p, random.Random(i).sample(_READS, len(_READS)))
+
+
+@given(bounded_posets(), st.booleans(), st.permutations(_READS))
+@settings(max_examples=60, deadline=None)
+def test_checked_posets_and_their_duals_build_each_structure_once(p, flip, reads):
+    _assert_pair_builds_once(p.dual() if flip else p, reads)
+
+
+def _refuse_to_sort(down):
+    raise AssertionError("a rule-built constructor sorted its covers")
+
+
+def test_rule_built_constructors_bring_their_linear_extension(monkeypatch):
+    # the builders include products of a dual factor, whose index order is
+    # no linear extension
+    factors = small_factors()
+    monkeypatch.setattr(pd.Poset, "_toposort", staticmethod(_refuse_to_sort))
+    built = [build() for build in _rule_built_builders()]
+    built += [pd.proper_product(p, q) for p in factors for q in factors]
+    built.append(pd.proper_product(pd.boolean_lattice(6).dual(), pd.boolean_lattice(4)))
+    for p in built:
+        _assert_linear_extension(p)
+        _assert_linear_extension(p.dual())
+
+
+@given(st.lists(st.tuples(bounded_posets(max_mid=3), st.booleans()), min_size=2, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_products_of_checked_posets_bring_their_linear_extension(drawn):
+    factors = [p.dual() if flip else p for p, flip in drawn]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pd.Poset, "_toposort", staticmethod(_refuse_to_sort))
+        product = pd.proper_product(*factors)
+    _assert_linear_extension(product)
 
 
 # -- dual, atoms, chains ---------------------------------------------------
@@ -536,9 +629,10 @@ def test_maximal_chains_longer_than_recursion_limit():
     assert pd.chain(n).maximal_chains() == [tuple(range(n + 1))]
 
 
-def test_maximal_chain_guard():
+def test_maximal_chain_guard(monkeypatch):
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "10")
     with pytest.raises(pd.SizeGuardError):
-        pd.boolean_lattice(5).maximal_chains(max_chains=10)
+        pd.boolean_lattice(5).maximal_chains()
 
 
 @given(bounded_posets(max_mid=7))
@@ -552,20 +646,24 @@ def test_maximal_chain_guard_is_exact(p):
             continue
         counts = q._chain_counts()
         assert sum(c for c, ups in zip(counts, q.upcovers) if not ups) == n
-        assert q.maximal_chains(max_chains=n) == chains
-        with pytest.raises(pd.SizeGuardError, match=f"^more than {n - 1} maximal chains$"):
-            q.maximal_chains(max_chains=n - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PROPERDIV_GUARD_FACES", str(n))
+            assert q.maximal_chains() == chains
+            mp.setenv("PROPERDIV_GUARD_FACES", str(n - 1))
+            with pytest.raises(pd.SizeGuardError, match=f"^more than {n - 1} maximal chains$"):
+                q.maximal_chains()
         assert q.length() == max(map(len, chains)) - 1
 
 
-def test_maximal_chain_guard_refuses_before_listing():
+def test_maximal_chain_guard_refuses_before_listing(monkeypatch):
     # P(30, 30) has 3.4 * 10**14 maximal chains of 31 elements: listing the
     # 10**5 the guard admits before refusing would hold about 30 MB
     p = pd.proper_divisibility_poset((30, 30))
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "100000")
     tracemalloc.start()
     try:
         with pytest.raises(pd.SizeGuardError, match="^more than 100000 maximal chains$"):
-            p.maximal_chains(max_chains=100_000)
+            p.maximal_chains()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

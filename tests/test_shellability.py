@@ -13,7 +13,6 @@ from properdiv.shellability import (
     RaoCertificate,
     _dual_lex_betti,
     _dual_lex_certificate,
-    _falling_chain_counts,
 )
 
 from oracles import (
@@ -694,11 +693,11 @@ def test_falling_chain_counts_match_the_listing():
 def test_packed_falling_chain_counts_match_the_list_rows():
     for a in range(2, 13):
         for b in range(a, 13):
-            assert _falling_chain_counts(a, b) == list(_trimmed(falling_chain_counts_by_lists(a, b)))
+            assert pd.betti_from_falling_chains(a, b) == falling_chain_counts_by_lists(a, b)
     # slots of 66 bits
-    counts = _falling_chain_counts(40, 40)
-    assert counts == list(_trimmed(falling_chain_counts_by_lists(40, 40)))
-    assert counts + [0] * (41 - len(counts)) == [0, 0] + [betti_rank(40, 40, i) for i in range(39)]
+    counts = pd.betti_from_falling_chains(40, 40)
+    assert counts == falling_chain_counts_by_lists(40, 40)
+    assert counts == tuple(betti_rank(40, 40, i) for i in range(39))
 
 
 def _disagreements(betti, largest):
