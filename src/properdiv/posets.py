@@ -787,20 +787,17 @@ def _product_poset(factors) -> Poset:
         downs.append(down)
     # lexicographic order on the factors' topological positions, top tuple
     # last, extends the product's order (xs < ys raises no coordinate's
-    # position, and some); for index-ordered factors it is index order, and
-    # any other factor has two elements or more, so the top tuple is apart
-    if all(p._topo == tuple(range(len(p))) for p in factors):
-        topo = tuple(range(len(members)))
-    else:
-        topo = [0]
-        for p, o in zip(factors, at):
-            steps = [o[y] for y in p._topo if y != p.top] or [o[p.top]]
-            topo = [t + s for t in topo for s in steps]
-        topo = tuple(topo) + (top,)
+    # position, and some); for index-ordered factors it is index order
+    topo = [0]
+    for p, o in zip(factors, at):
+        steps = [o[y] for y in p._topo if y != p.top] or [o[p.top]]
+        topo = [t + s for t in topo for s in steps]
+    if tops != bottoms:
+        topo.append(top)
     # chains and Boolean lattices label by index
     if any(p.labels != tuple(range(len(p))) for p in factors):
         members = [tuple(p.labels[x] for p, x in zip(factors, xs)) for xs in members]
-    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), topo, bottom, top)
+    return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), tuple(topo), bottom, top)
 
 
 def _box_difference(row):

@@ -15,8 +15,8 @@ not with the verifier's masks); ``dual_lex_betti_by_lists``, which checks
 the certificate in a pass of its own from the top down, with condition
 (ii) as a union of the witnesses' down-sets, and keeps each row of counts
 as a list, for the walk's single bottom-up pass with its popcount test and
-packed rows; ``falling_chain_counts_by_lists``, with list rows, for
-the packed ones; ``search_rao_by_recursion``, the atom-ordering search as
+packed rows; ``falling_chain_counts_by_lists`` and
+``falling_chain_row_by_lists``, with list rows, for the packed ones; ``search_rao_by_recursion``, the atom-ordering search as
 one recursive call per interval and per position, for its explicit stack;
 and ``boundary_columns_by_slicing``, which finds each face's rows by
 slicing one vertex out at a time, for the boundary columns read from
@@ -417,6 +417,12 @@ def dual_lex_betti_by_lists(poset):
 
 def falling_chain_counts_by_lists(a, b):
     """``betti_from_falling_chains`` with every row of counts a list, one entry per length."""
+    betti = tuple(falling_chain_row_by_lists(a, b)[2:])
+    return betti + (0,) * (a - 1 - len(betti))
+
+
+def falling_chain_row_by_lists(a, b):
+    """The falling chains of the dual of P(a, b) counted by length from 0; it may end in zeros."""
     poset = posets.proper_divisibility_poset((a, b))
     bottom = poset.bottom
     counts = [None] * len(poset)
@@ -427,8 +433,7 @@ def falling_chain_counts_by_lists(a, b):
             continue
         steps = down if down[-1] == bottom else down[:-1]
         counts[x] = [0, *map(sum, zip_longest(*map(counts.__getitem__, steps), fillvalue=0))]
-    betti = tuple(counts[poset.top][2:])
-    return betti + (0,) * (a - 1 - len(betti))
+    return counts[poset.top]
 
 
 def search_rao_by_recursion(p):

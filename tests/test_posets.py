@@ -382,7 +382,7 @@ def test_guard_refuses_before_enumerating():
 
 def _assert_linear_extension(p):
     position = {x: k for k, x in enumerate(p._topo)}
-    assert sorted(position) == list(range(len(p)))
+    assert sorted(p._topo) == list(range(len(p)))
     assert all(position[j] < position[i] for i, down in enumerate(p.downcovers) for j in down)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import properdiv as pd
-from properdiv import posets
+from properdiv import posets, shellability
 from properdiv.cli import REFERENCE_TABLE
 from properdiv.formulas import betti_rank
 from properdiv.shellability import (
@@ -18,6 +18,7 @@ from properdiv.shellability import (
 from oracles import (
     dual_lex_betti_by_lists,
     falling_chain_counts_by_lists,
+    falling_chain_row_by_lists,
     falling_chains_by_definition,
     search_rao_by_recursion,
     verify_rao_by_generators,
@@ -690,10 +691,23 @@ def test_falling_chain_counts_match_the_listing():
             assert Counter({i + 2: c for i, c in enumerate(counts) if c}) == listed, (a, b)
 
 
-def test_packed_falling_chain_counts_match_the_list_rows():
+def test_packed_falling_chain_counts_match_the_list_rows(monkeypatch):
+    # the whole packed row, lengths 0 and 1 included, against the list row;
+    # no falling chain has fewer than two steps
+    rows = []
+    unpack = shellability._unpack
+
+    def recording_unpack(row, width):
+        rows.append(unpack(row, width))
+        return rows[-1]
+
+    monkeypatch.setattr(shellability, "_unpack", recording_unpack)
     for a in range(2, 13):
         for b in range(a, 13):
             assert pd.betti_from_falling_chains(a, b) == falling_chain_counts_by_lists(a, b)
+            listed = falling_chain_row_by_lists(a, b)
+            assert listed[:2] == [0, 0], (a, b)
+            assert _trimmed(rows.pop()) == _trimmed(listed), (a, b)
     # slots of 66 bits
     counts = pd.betti_from_falling_chains(40, 40)
     assert counts == falling_chain_counts_by_lists(40, 40)
