@@ -156,10 +156,14 @@ class Poset:
         return self.bottom is not None and self.top is not None
 
     def index_of(self, label) -> int:
+        return self._index()[label]
+
+    def _index(self) -> dict:
+        # label -> index, in the store this poset shares with its duals
         store = self._store
         if store[4] is None:
             store[4] = {lab: i for i, lab in enumerate(self.labels)}
-        return store[4][label]
+        return store[4]
 
     @property
     def upcovers(self):

@@ -9,9 +9,11 @@ equivalent to CL-shellability of P.
 
 Certificates store the chosen ordering at every interval.  The search and
 the verifier both work on the intervals [x, 1] of the ambient poset using
-its comparability bitmasks, and memoize on x and the bitmask of the
-required prefix: the constraint condition (i) imposes on a child interval
-is exactly which atoms must come first, nothing more.
+its comparability bitmasks.  The search memoizes on x and the bitmask of
+the required prefix: the constraint condition (i) imposes on a child
+interval is exactly which atoms must come first, nothing more.  The
+verifier memoizes on x and the certificate node met there, whose checks
+depend on the pair alone except (i), which it tests on every edge.
 
 The falling-chain machinery is specific to two coordinates: the labeling
 induced by the dual-lexicographic atom ordering makes a maximal chain of
@@ -37,8 +39,10 @@ slots.  It is skipped, answering None, where the masks in 64-bit words
 exceed the face guard.  The words are counted before any mask is built;
 the slots are added up in the set-up pass, which builds only the
 down-cover masks, and checked before ``below`` and any row.  ``verify_rao``
-and ``search_rao`` hold the same masks and refuse past the same number
-of words with :class:`SizeGuardError`.
+and ``search_rao`` hold the same up-set masks and refuse past the same
+number of words with :class:`SizeGuardError`.  Besides, the search holds
+a mask of up-covers per element, and the verifier one per (element,
+certificate node) pair it enters.
 
 Falling chains are counted without listing them.  The walk refuses a step
 from x onto k iff k is x's decrement and not (0, 0), a test of the step's
@@ -70,7 +74,7 @@ from .posets import Poset, as_multidegree, proper_divisibility_poset
 # -- certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaoCertificate:
     """Atom ordering of one interval plus certificates for its children.
 
@@ -78,13 +82,60 @@ class RaoCertificate:
     most one (nothing to check there); otherwise ``children[j]`` certifies
     the interval above ``ordering[j]``.  Children may be shared, but the
     JSON form spells every one out, so it may hold at most
-    ``posets.DEFAULT_CHAIN_GUARD`` nodes.  The serializers walk explicit stacks:
-    certificates nest once per step of a maximal chain, deeper than the
-    interpreter's recursion limit.
+    ``posets.DEFAULT_CHAIN_GUARD`` nodes.  The serializers, ``==`` and
+    ``hash`` walk explicit stacks: certificates nest once per step of a
+    maximal chain, deeper than the interpreter's recursion limit.  ``==``
+    and ``hash`` compare certificates as the trees they spell out, but
+    visit a shared node, or pair of nodes, once.
     """
 
     ordering: tuple
     children: tuple["RaoCertificate", ...] | None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = set()  # id pairs found equal or still to be compared
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            compared.add((id(a), id(b)))
+            if a.__class__ is not b.__class__ or a.ordering != b.ordering:
+                return False
+            if a.children is None or b.children is None:
+                if a.children is not b.children:
+                    return False
+            elif len(a.children) != len(b.children):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        hashes: dict[int, int] = {}
+        for node in self._postorder():
+            kids = node.children
+            if kids is not None:
+                kids = tuple(hashes[id(c)] for c in kids)
+            hashes[id(node)] = hash((node.ordering, kids))
+        return hashes[id(self)]
+
+    def _postorder(self):
+        """Every distinct node from this one down, once, after its children."""
+        done: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for c in node.children or () if id(c) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if id(node) not in done:  # else pushed by two parents
+                done.add(id(node))
+                yield node
 
     def to_json_dict(self) -> dict:
         """Nested ``{"ordering": [...], "children": [...] | None}`` dicts.
@@ -93,17 +144,8 @@ class RaoCertificate:
         """
         done: dict[int, dict] = {}
         size: dict[int, int] = {}  # nodes of the JSON tree below each node
-        stack = [self]
-        while stack:
-            node = stack[-1]
+        for node in self._postorder():
             kids = node.children or ()
-            pending = [c for c in kids if id(c) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if id(node) in done:  # pushed by two parents
-                continue
             size[id(node)] = 1 + sum(size[id(c)] for c in kids)
             done[id(node)] = {
                 "ordering": [_label_json(x) for x in node.ordering],
@@ -144,7 +186,7 @@ def _label_json(label):
 
 
 def _interval_masks(p: Poset):
-    """Up-covers, reflexive up-sets and up-cover masks per element, under the mask bound.
+    """Up-covers and reflexive up-sets per element, under the mask bound.
 
     Reflexive up-sets serve as strict ones: a prefix mask joins those of
     earlier atoms of an interval, which are distinct from and incomparable
@@ -158,8 +200,7 @@ def _interval_masks(p: Poset):
         raise SizeGuardError(
             f"face-count guard {guard} exceeded by the bitmasks of {len(p)} elements"
         )
-    up = p.upcovers
-    return up, p.above, [sum(map((1).__lshift__, ups)) for ups in up]
+    return p.upcovers, p.above
 
 
 def _condition_ii_ok(up, above, atom: int, prefix_mask: int) -> bool:
@@ -174,30 +215,69 @@ def _condition_ii_ok(up, above, atom: int, prefix_mask: int) -> bool:
     return not (trigger & ~witness)
 
 
+def _condition_i_failure(labels, required: int, x: int):
+    return (
+        False,
+        f"condition (i): atoms {sorted(map(labels.__getitem__, posets._bits(required)))} "
+        f"must come first in the interval above {labels[x]!r}",
+    )
+
+
+def _leads(ordering, required: int, k: int) -> bool:
+    """Condition (i): ``required``, k atoms of ``ordering``, are its first k.
+
+    Nothing to compare where k is 0 or all of ``ordering``.
+    """
+    if not k or k == len(ordering):
+        return True
+    lead = 0
+    for q in ordering[:k]:
+        lead |= 1 << q
+    return lead == required
+
+
 def verify_rao(p: Poset, cert: RaoCertificate):
     """Check a certificate against every interval it covers.
 
     Returns ``(True, None)`` or ``(False, description of the first violated
     condition)``.  Raises ValueError when the certificate's orderings are
     not permutations of the proper atom sets.
+
+    The memo is keyed on (x, node), an element and the certificate node
+    met there.  What the interval above x is checked for depends on the
+    pair alone, except condition (i), whose required atoms the parent's
+    prefix fixes; and the first failure ends the walk, so a pair met again
+    has passed.  The first edge into a pair checks (ii) at the parent from
+    the up-covers, then translates and checks the pair's ordering once and
+    enters it.  The memo keeps the pair's ordering, the mask ``atoms`` of
+    its atoms and, per k, the size ``reached[k]`` of the union of the
+    up-sets of its first k atoms.  Every edge tests (i): ``required =
+    atoms & prefix``, of k bits, must be the first k atoms, which takes no
+    comparison where k is 0 or all of them.  On a later edge where (i)
+    holds, (ii) is one comparison of sizes, as in ``_dual_lex_betti``: the
+    witness, the union of the up-sets of those k atoms, lies inside the
+    trigger, since the prefix is an up-set.  Where (i) fails, (ii) is
+    checked from the up-covers first, so the first violation is the same
+    either way.
     """
-    up, above, up_mask = _interval_masks(p)
-    index = {lab: i for i, lab in enumerate(p.labels)}
-    labels = p.labels
-    # depth-first on an explicit stack of frames [memo key, x, children,
-    # ordering, position, prefix mask], one per open interval: certificates
-    # nest once per step of a maximal chain, deeper than the interpreter's
-    # recursion limit.  An interval is keyed by x, the bitmask of the atoms
-    # that must lead and the certificate node; its frame's position is the
-    # next atom to check and its prefix mask the earlier atoms' up-sets.
-    memo: dict = {}
+    up, above = _interval_masks(p)
+    index, labels = p._index(), p.labels
+    seen: dict = {}  # (x, id(node)) -> (ordering, atoms, reached) of every pair entered
+    # depth-first on an explicit stack of frames [x, edges, prefix mask,
+    # reached], one per open interval: certificates nest once per step of a
+    # maximal chain, deeper than the interpreter's recursion limit.  A
+    # frame's edges iterate over the (atom, child) pairs not taken yet, and
+    # its prefix mask is the union of the earlier atoms' up-sets.
     stack: list = []
-    x, node, required = p.bottom, cert, 0
+    x, node, prefix = p.bottom, cert, 0
     while True:
-        # enter the interval above x, certified by node
-        key = (x, required, id(node))
+        # the first edge into the pair (x, node); (ii) at the parent holds
+        ordering, atoms = [], 0
         try:
-            ordering = tuple(map(index.__getitem__, node.ordering))
+            for label in node.ordering:
+                q = index[label]
+                ordering.append(q)
+                atoms |= 1 << q
         except KeyError as exc:
             raise ValueError(f"unknown atom label in certificate: {exc}") from None
         if sorted(ordering) != list(up[x]):
@@ -205,57 +285,61 @@ def verify_rao(p: Poset, cert: RaoCertificate):
                 f"ordering at interval above {labels[x]!r} is not a "
                 f"permutation of its atoms"
             )
-        if sum(map((1).__lshift__, ordering[: required.bit_count()])) != required:
-            result = memo[key] = (
-                False,
-                f"condition (i): atoms {sorted(map(labels.__getitem__, posets._bits(required)))} "
-                f"must come first in the interval above {labels[x]!r}",
-            )
-        elif above[x].bit_count() <= 2:  # the interval has length <= 1
+        required = atoms & prefix
+        if not _leads(ordering, required, required.bit_count()):
+            return _condition_i_failure(labels, required, x)
+        reached = [0]
+        seen[x, id(node)] = ordering, atoms, reached
+        if above[x].bit_count() <= 2:  # the interval has length <= 1
             if node.children is not None:
                 raise ValueError(
                     f"interval above {labels[x]!r} has length <= 1 but the "
                     f"certificate carries children"
                 )
-            result = memo[key] = (True, None)
+            if ordering:  # the top alone, its own up-set
+                reached.append(1)
         elif node.children is None or len(node.children) != len(ordering):
             raise ValueError(
                 f"certificate above {labels[x]!r} must carry one child per atom"
             )
         else:
-            stack.append([key, x, node.children, ordering, 0, 0])
-        # advance the innermost open interval; ``result`` is that of the
-        # child it checked last, at positions past 0
+            stack.append([x, zip(ordering, node.children), 0, reached])
+        # take the next edge of the innermost open interval
         while stack:
             frame = stack[-1]
-            key, x, children, ordering, j, prefix_mask = frame
-            if j:
-                if not result[0]:
-                    stack.pop()
-                    memo[key] = result
-                    continue
-                prefix_mask |= above[ordering[j - 1]]
-            if j == len(ordering):
-                stack.pop()
-                result = memo[key] = (True, None)
-                continue
-            atom = ordering[j]
-            # condition (ii) is checked only where an earlier atom's up-set meets atom's
-            if above[atom] & prefix_mask and not _condition_ii_ok(up, above, atom, prefix_mask):
-                stack.pop()
-                result = memo[key] = (
+            x, edges, prefix, reached = frame
+            for atom, node in edges:
+                trigger = above[atom] & prefix
+                known = seen.get((atom, id(node)))
+                if known is not None:
+                    order, atoms, sizes = known
+                    required = atoms & prefix
+                    k = required.bit_count()
+                    # _leads's own first test, spared a call on this hot path
+                    if not k or k == len(order) or _leads(order, required, k):
+                        if trigger.bit_count() == sizes[k]:
+                            prefix |= above[atom]
+                            reached.append(prefix.bit_count())
+                            continue
+                    elif _condition_ii_ok(up, above, atom, prefix):
+                        return _condition_i_failure(labels, required, atom)
+                elif not trigger or _condition_ii_ok(up, above, atom, prefix):
+                    # the frame moves past atom; ``prefix`` stays the pair's
+                    frame[2] = prefix | above[atom]
+                    reached.append(frame[2].bit_count())
+                    break
+                return (
                     False,
                     f"condition (ii) fails for atom {labels[atom]!r} at "
-                    f"position {j} in the interval above {labels[x]!r}",
+                    f"position {len(reached) - 1} in the interval above {labels[x]!r}",
                 )
+            else:
+                stack.pop()  # every edge of the interval passed
                 continue
-            frame[4], frame[5] = j + 1, prefix_mask
-            x, node, required = atom, children[j], up_mask[atom] & prefix_mask
-            result = memo.get((x, required, id(node)))
-            if result is None:
-                break  # enter the child
+            x = atom  # enter the pair (atom, node) on its first edge
+            break
         else:
-            return result
+            return True, None
 
 
 def search_rao(p: Poset):
@@ -274,7 +358,8 @@ def search_rao(p: Poset):
     atom where condition (ii) reads them (where an earlier atom's up-set
     meets the atom's).
     """
-    up, above, up_mask = _interval_masks(p)
+    up, above = _interval_masks(p)
+    up_mask = [sum(map((1).__lshift__, ups)) for ups in up]
     labels = p.labels
     guard = posets.DEFAULT_CHAIN_GUARD
     refusal = f"atom-ordering search made more than {guard} steps"

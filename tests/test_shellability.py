@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from itertools import product as cartesian
 
@@ -205,6 +206,106 @@ def test_frame_walk_matches_generators_on_mutated_certificates():
                 kinds[verdict[0]] += 1
     # every outcome occurs: accepted, refused and malformed
     assert set(kinds) == {True, False, "ValueError"}, kinds
+
+
+def _certificate_by_element(p, orderings):
+    """One node per element, shared by all its parents; atoms given by label.
+
+    Elements that ``orderings`` leaves out keep their atoms in index order.
+    """
+    up, labels = p.upcovers, p.labels
+    nodes = {}
+    for x in reversed(p._topo):
+        atoms = orderings.get(labels[x], [labels[q] for q in up[x]])
+        kids = None if p.above[x].bit_count() <= 2 else tuple(nodes[p.index_of(a)] for a in atoms)
+        nodes[x] = RaoCertificate(tuple(atoms), kids)
+    return nodes[p.bottom]
+
+
+def test_a_shared_node_is_held_to_condition_i_on_every_edge():
+    # B4 with subsets as bitmasks: one node certifies the interval above
+    # 5 = {1, 3}, a child of 1 = {1} and of 4 = {3}.  Its atoms are 7 =
+    # {1, 2, 3} and 13 = {1, 3, 4}.  Above 1, after 9 = {1, 4}, 13 must lead
+    # there; above 4, after 6 = {2, 3}, 7 must lead.  The bottom orders 1
+    # before 4, so the node is first met above 1
+    p = pd.boolean_lattice(4)
+    orderings = {0: [1, 2, 4, 8], 1: [9, 5, 3], 2: [3, 10, 6], 4: [6, 5, 12], 10: [11, 14]}
+    # condition (i) holds on the first edge into the node and fails on the second
+    cert = _certificate_by_element(p, {**orderings, 5: [13, 7]})
+    assert _assert_same_verdict(p, cert) == (
+        False,
+        "condition (i): atoms [7] must come first in the interval above 5",
+    )
+    # it fails on the first edge
+    cert = _certificate_by_element(p, {**orderings, 5: [7, 13]})
+    assert _assert_same_verdict(p, cert) == (
+        False,
+        "condition (i): atoms [13] must come first in the interval above 5",
+    )
+
+
+def test_verify_reads_each_ordering_once_per_element():
+    # the dual-lex certificate of P(6, 6, 6)'s dual has one node per element
+    # but the dual's top; here the seven coatoms' nodes, which have the same
+    # ordering, are one node
+    p = _dual_pdiv((6, 6, 6))
+    reads = Counter()
+
+    class Counting(RaoCertificate):
+        def __getattribute__(self, name):
+            if name == "ordering":
+                reads[id(self)] += 1
+            return object.__getattribute__(self, name)
+
+    leaf = Counting((p.labels[p.top],), None)
+    copies = {}
+    for node in pd.dual_lex_certificate((6, 6, 6))._postorder():
+        kids = node.children
+        copies[id(node)] = (
+            leaf if kids is None else Counting(node.ordering, tuple(copies[id(c)] for c in kids))
+        )
+    cert = copies[id(node)]  # the root comes last
+    reads.clear()
+    assert pd.verify_rao(p, cert) == (True, None)
+    coatoms = [x for x in range(len(p)) if p.upcovers[x] == (p.top,)]
+    assert len(coatoms) == 7
+    assert reads.pop(id(leaf)) == len(coatoms)
+    assert len(reads) == len(p) - 1 - len(coatoms)
+    assert set(reads.values()) == {1}
+
+
+def test_certificate_equality_and_hash_visit_shared_nodes_once():
+    # as trees, these certificates have 46,192,482 nodes each
+    start = time.perf_counter()
+    one, other = pd.dual_lex_certificate((16, 16)), pd.dual_lex_certificate((16, 16))
+    assert one is not other and one.children[0] is not other.children[0]
+    assert one == other
+    assert hash(one) == hash(other)
+    assert time.perf_counter() - start < 2.0
+    # a copy changed deep down, along the path through every first child
+    path, node = [], one
+    while node.children is not None and len(node.children[0].ordering) >= 2:
+        path.append(0)
+        node = node.children[0]
+    assert len(path) == 14
+    swapped = RaoCertificate(node.ordering[::-1], node.children[::-1])
+    assert one != _replace_at(one, path, swapped)
+    assert one != _replace_at(one, path, RaoCertificate(node.ordering, None))
+    # the same answers as the trees spelled out, on a small case
+    small = pd.dual_lex_certificate((3, 2))
+    tree = json.loads(json.dumps(small.to_json_dict()))
+
+    def from_json(d):
+        kids = d["children"]
+        return RaoCertificate(
+            tuple(map(tuple, d["ordering"])),
+            None if kids is None else tuple(map(from_json, kids)),
+        )
+
+    spelled = from_json(tree)
+    assert spelled == small and hash(spelled) == hash(small)
+    assert small != RaoCertificate(small.ordering, small.children[::-1])
+    assert small.__eq__("not a certificate") is NotImplemented
 
 
 # -- search_rao ------------------------------------------------------------------
