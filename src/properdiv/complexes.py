@@ -1,8 +1,8 @@
 """Order complexes and elementary face statistics.
 
 A :class:`SimplicialComplex` stores its vertex labels and the list of
-inclusion-maximal faces (facets), which a certified order complex lists
-only when they are first read.  The empty complex (no vertices, no
+inclusion-maximal faces (facets), which an order complex lists only when
+they are first read.  The empty complex (no vertices, no
 facets) is a legitimate value: it is the order complex of a bounded
 poset with at most two elements, and its reduced Euler
 characteristic is -1.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import SizeGuardError, face_guard_default
-from .posets import Poset
+from .posets import Poset, _bits
 from .shellability import _dual_lex_betti
 
 
@@ -23,13 +23,15 @@ class SimplicialComplex:
     ``SimplicialComplex(vertices, facets)`` checks facets from outside: it
     sorts and de-duplicates them and refuses empty facets, out-of-range
     vertices, facets inside others and vertices in no facet.
-    ``order_complex`` stores its maximal chains without these checks.  When
-    its poset's certificate verifies, it keeps the reduced Betti numbers the
-    certificate gives, one per degree, which ``homology`` and ``dim`` answer
-    from, and the poset, whose chains it lists only when ``facets`` is first
-    read; ``dim`` and ``is_empty`` never list them.  Every other complex has
-    no Betti numbers there, and ``homology`` closes and reduces all of its
-    faces, held to the face guard.
+    ``order_complex`` keeps its poset instead, lists its maximal chains
+    without these checks only when ``facets`` is first read, and keeps the
+    poset after that; ``dim`` and ``is_empty`` never list them.  When the
+    poset's certificate verifies, it also keeps the reduced Betti numbers
+    the certificate gives, one per degree, which ``homology`` answers from.
+    ``homology`` answers any other order complex from its poset's atom
+    crosscut where that is accepted, whether or not its facets were read.
+    Every other complex, and an order complex the crosscut refuses, has all
+    of its faces closed and reduced, held to the face guard.
     """
 
     __slots__ = ("vertices", "_facets", "_poset", "_certified_betti")
@@ -78,14 +80,13 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """The facets, sorted; a certified order complex lists them on first read.
+        """The facets, sorted; an order complex lists them on first read.
 
         That listing is held to the face guard, read at that moment, and
         raises :class:`SizeGuardError` beyond it.
         """
         if self._facets is None:
             self._facets = _chain_facets(self._poset)
-            self._poset = None
         return self._facets
 
     @property
@@ -95,8 +96,8 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Largest face dimension; -1 for the empty complex."""
-        if self._facets is None:
-            return len(self._certified_betti) - 1  # one entry per degree
+        if self._facets is None:  # an order complex: chains of its open part
+            return max(self._poset.length() - 2, -1)
         return max((len(f) for f in self._facets), default=0) - 1
 
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
@@ -201,6 +202,77 @@ def _chain_facets(p: Poset) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(map(renumber, c[1:-1]))) for c in chains))
 
 
+def _crosscut_faces(p: Poset) -> list[list[tuple[int, ...]]] | None:
+    """The faces of the atom crosscut complex of ``p``, grouped by dimension, or None.
+
+    Its vertices are ``p.atoms()``, numbered 0, 1, ... in that order, and its
+    faces the atom sets with a common upper bound other than the top: the
+    atom sets of the coatoms, closed downward.  The faces are returned only
+    if, for each of them, those upper bounds U have a least element; then
+    the complex is homotopy equivalent to the order complex of ``p`` (see
+    the ``homology`` module).  The first element of U in ``_topo`` order is
+    minimal in U, so it is least iff its up-set is U.  Faces are closed and
+    checked one dimension at a time from the edges up, so a refusal stops
+    early.  The up-sets are masks over ``_topo`` positions, held to the
+    walk's bound of ``len(p)**2 // 64`` words within the face guard, and the
+    attempt is given up once the faces outnumber the face guard or ``p``'s
+    maximal chains, the facets the reduction would list instead.
+    """
+    n, guard = len(p), face_guard_default()
+    if n <= 2 or n**2 // 64 > guard:
+        return None
+    topo, down = p._topo, p.downcovers
+    position = [0] * n
+    for k, x in enumerate(topo):
+        position[x] = k
+    # the up-set below the top of the element at each position, pushed down
+    # the covers, so that no up-cover is read; the top is last in _topo, so
+    # it keeps the mask 0
+    above = [0] * n
+    for k in range(n - 2, -1, -1):
+        m = above[k] = above[k] | 1 << k
+        for y in down[topo[k]]:
+            above[position[y]] |= m
+    atoms = p.atoms()
+    # per element, the mask of the atoms below it, as vertices
+    atom_sets = [0] * n
+    for v, a in enumerate(atoms):
+        atom_sets[a] = 1 << v
+    for x in topo:
+        m = atom_sets[x]
+        for y in down[x]:
+            m |= atom_sets[y]
+        atom_sets[x] = m
+    facets = [_bits(m) for m in {atom_sets[c] for c in down[p.top]}]
+    limit = min(guard, p._chain_counts()[p.top])
+    widest = max(map(len, facets))
+    if len(atoms) > limit or (1 << widest) - 1 > limit:
+        return None
+    # per face of the last level closed, the position of the least element of
+    # its U; one atom's is its own
+    atom_at = [position[a] for a in atoms]
+    least = {(v,): k for v, k in enumerate(atom_at)}
+    levels, total = [list(least)], len(atoms)
+    for k in range(2, widest + 1):
+        closed = {}
+        for f in facets:
+            if len(f) < k:
+                continue
+            for face in combinations(f, k):
+                if face not in closed:
+                    u = above[least[face[:-1]]] & above[atom_at[face[-1]]]
+                    first = (u & -u).bit_length() - 1
+                    if above[first] != u:
+                        return None
+                    closed[face] = first
+            if total + len(closed) > limit:
+                return None
+        total += len(closed)
+        levels.append(list(closed))
+        least = closed
+    return [sorted(level) for level in levels]
+
+
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of a bounded poset with bottom and top removed.
 
@@ -208,22 +280,17 @@ def order_complex(p: Poset) -> SimplicialComplex:
     maximal chains, distinct and pairwise incomparable, stored unchecked but
     sorted.  Returns the empty complex when nothing is left.
 
-    Before any chain is listed, the dual-lex certificate of ``p.dual()`` is
-    checked (see the ``shellability`` module for the walk and its bound).
-    If it verifies, the complex keeps the reduced Betti numbers it gives,
-    one per degree up to ``p.length() - 2``, which the walk finds in its
-    set-up pass; ``dim`` is read from them, and the facets, held to the
-    face guard, are listed only when first read: so ``order_complex(P(30,
-    30))`` returns, and reading its facets raises :class:`SizeGuardError`.
-    Otherwise, or where the walk is skipped, the facets are listed at once,
-    held to the same guard.
+    The complex keeps ``p``, and its facets, held to the face guard, are
+    listed only when first read: so ``order_complex(P(30, 30))`` returns,
+    and reading its facets raises :class:`SizeGuardError`.  ``dim`` is
+    ``p.length() - 2``.  Before that, the dual-lex certificate of
+    ``p.dual()`` is checked (see the ``shellability`` module for the walk
+    and its bound).  If it verifies, the complex also keeps the reduced
+    Betti numbers it gives, one per degree up to ``p.length() - 2``.
     """
     if not p.is_bounded:
         raise ValueError("order complexes are taken of bounded posets")
     ends = (p.bottom, p.top)
     vertices = tuple(lab for i, lab in enumerate(p.labels) if i not in ends)
-    cx = SimplicialComplex.__new__(SimplicialComplex)
     betti = _dual_lex_betti(p) if vertices else None
-    if betti is None:
-        return cx._assemble(vertices, _chain_facets(p))
-    return cx._assemble(vertices, None, betti, p)
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(vertices, None, betti, p)

@@ -74,7 +74,7 @@ from .posets import Poset, as_multidegree, proper_divisibility_poset
 # -- certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RaoCertificate:
     """Atom ordering of one interval plus certificates for its children.
 
@@ -86,11 +86,16 @@ class RaoCertificate:
     ``hash`` walk explicit stacks: certificates nest once per step of a
     maximal chain, deeper than the interpreter's recursion limit.  ``==``
     and ``hash`` compare certificates as the trees they spell out, but
-    visit a shared node, or pair of nodes, once.
+    visit a shared node, or pair of nodes, once.  The repr gives the root's
+    ordering and the number of distinct nodes, not the tree.
     """
 
     ordering: tuple
     children: tuple["RaoCertificate", ...] | None
+
+    def __repr__(self):
+        nodes = sum(1 for _ in self._postorder())
+        return f"RaoCertificate(ordering={self.ordering!r}, distinct_nodes={nodes})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -6,9 +6,11 @@ from elimination over the rationals, comparability from transitive closure
 over the cover relation, boundary matrices and the covers of P(a) and of
 proper products from comparing all pairs, the number of each element's
 down-covers in a proper product from its factors' down-set sizes, falling
-chains from filtering every maximal chain by their definition, and open
-parts from the checking constructor.  The exceptions are earlier forms of
-the library's own code, kept as references for their replacements:
+chains from filtering every maximal chain by their definition, the atom
+crosscut complex and its verdict from comparing elements one pair at a
+time, and open parts from the checking constructor.  The exceptions are
+earlier forms of the library's own code, kept as references for their
+replacements:
 ``verify_rao_by_generators``, the verifier with one generator per
 interval, for its frame walk (it tests the conditions element by element,
 not with the verifier's masks); ``dual_lex_betti_by_lists``, which checks
@@ -169,6 +171,36 @@ def snf_by_minors(rows):
     rank = len(gcds) - 1
     factors = [gcds[k] // gcds[k - 1] for k in range(1, rank + 1)]
     return factors, rank
+
+
+def crosscut_by_definition(poset, most=None):
+    """(faces, verdict) of the atom crosscut complex of a bounded ``poset``, by definition.
+
+    The atoms are the minimal elements of the open part, numbered 0, 1, ...
+    in index order.  A set of atoms is a face iff some element of the open
+    part lies above each of them, tested with ``le``; a set with no such
+    bound has none of its supersets as faces, so the faces are found by
+    adding one atom at a time to faces.  The verdict is whether every face's
+    upper bounds in the open part have a least element, found by comparing
+    every pair of them.  Past ``most`` faces the search stops, and the faces
+    and verdict found so far are returned.
+    """
+    inner = [x for x in range(len(poset)) if x not in (poset.bottom, poset.top)]
+    atoms = [x for x in inner if not any(poset.lt(y, x) for y in inner)]
+    faces, verdict = set(), True
+    stack = [((), inner)]
+    while stack:
+        face, bounds = stack.pop()
+        for v in range(face[-1] + 1 if face else 0, len(atoms)):
+            common = [x for x in bounds if poset.le(atoms[v], x)]
+            if common:
+                faces.add(face + (v,))
+                if most is not None and len(faces) > most:
+                    return faces, verdict
+                least = [m for m in common if all(poset.le(m, x) for x in common)]
+                verdict = verdict and len(least) == 1
+                stack.append((face + (v,), common))
+    return faces, verdict
 
 
 def count_chains_by_length(poset):

@@ -1,3 +1,4 @@
+from itertools import product as cartesian
 from math import comb
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 import properdiv as pd
 from properdiv.homology import (
     _boundary_columns,
+    _crosscut_homology,
     _snf_of_columns,
     smith_normal_form,
 )
-from properdiv.complexes import SimplicialComplex
+from properdiv.complexes import SimplicialComplex, _crosscut_faces, face_guard_default
 
 from oracles import (
     boundary_columns_by_slicing,
+    crosscut_by_definition,
     dense_boundaries,
     rank_over_rationals,
     snf_by_minors,
@@ -269,13 +272,13 @@ def _minors_feasible(cx):
 
 
 def _routes(cx):
-    """``cx``, and if it carries certified Betti numbers, its copy without them.
+    """``cx``, and if it is an order complex, its copy from the checked constructor.
 
-    ``order_complex`` keeps the Betti numbers its poset's certificate gives
-    and ``homology`` answers from them; the checked constructor keeps none,
-    so the copy is reduced.
+    ``homology`` answers an order complex from the Betti numbers its poset's
+    certificate gives, or else, where it can, from the poset's atom
+    crosscut; the checked copy keeps no poset, so it is reduced.
     """
-    if cx._certified_betti is None:
+    if cx._poset is None:
         return [cx]
     checked = SimplicialComplex(cx.vertices, cx.facets)
     assert checked._certified_betti is None
@@ -322,6 +325,124 @@ def test_clearing_matches_uncleared_on_order_complexes(poset):
 def test_clearing_matches_uncleared_with_torsion(cx):
     for route in _routes(cx):
         _check_against_uncleared(route)
+
+
+# -- the atom crosscut ----------------------------------------------------------------
+
+# 0 < a1, a2 < b1, b2 < 1: Δ is a circle, but the crosscut is the edge a1 a2,
+# whose upper bounds b1 and b2 have no least element
+CROWN = pd.Poset(["0", "a1", "a2", "b1", "b2", "1"], [[1, 2], [3, 4], [3, 4], [5], [5], []])
+# the crown with a third atom a3 < c, where c > a1, a2 too: β1 = 2, but the
+# crosscut is the triangle a1 a2 a3; its facet's upper bounds are c alone,
+# and only the face a1 a2, with b1, b2 and c, fails
+CROWN_AND_A_THIRD_ATOM = pd.Poset(
+    ["0", "a1", "a2", "b1", "b2", "1", "a3", "c"],
+    [[1, 2, 6], [3, 4, 7], [3, 4, 7], [5], [5], [], [7], [5]],
+)
+
+
+def _crosscut_verdict(p):
+    """What the crosscut route does with ``p``, checked against its definition.
+
+    The route must give up ("abandoned") where the crosscut has more faces
+    than the face guard or p's maximal chains allow, and otherwise accept
+    exactly where ``crosscut_by_definition`` finds a least upper bound for
+    every face ("accepted"; else "refused").  Where it accepts, its faces
+    must be the definition's, and its summary, in both modes, must equal
+    the reduction of the listed chains, the minors oracle's where that is
+    feasible, and ``homology`` of the order complex, which answers from the
+    walk where p's certificate verifies.
+    """
+    got = _crosscut_faces(p)
+    if len(p) <= 2:
+        assert got is None
+        return "empty"
+    limit = min(face_guard_default(), len(p.maximal_chains()))
+    faces, ok = crosscut_by_definition(p, most=limit)
+    if len(faces) > limit:
+        assert got is None
+        return "abandoned"
+    assert (got is not None) == ok
+    if got is None:
+        return "refused"
+    assert [f for level in got for f in level] == sorted(faces, key=lambda f: (len(f), f))
+    cx = pd.order_complex(p)
+    listed = SimplicialComplex(cx.vertices, cx.facets)
+    minors = _minors_feasible(listed)
+    for reduced in (False, True):
+        s = _crosscut_homology(p, reduced, True)
+        assert s == pd.homology(listed, reduced=reduced) == pd.homology(cx, reduced=reduced)
+        if minors:
+            assert (s.betti, s.torsion) == _uncleared_homology(listed, reduced, snf_by_minors)
+        assert _crosscut_homology(p, reduced, False).betti == s.betti
+    return "accepted"
+
+
+@given(bounded_posets(max_mid=7))
+@settings(max_examples=150, deadline=None)
+def test_crosscut_matches_its_definition_on_random_posets(p):
+    _crosscut_verdict(p)
+    _crosscut_verdict(p.dual())
+
+
+def test_crosscut_matches_its_definition_on_fixed_families():
+    verdicts = {}
+    cx = RP2
+    for k in (1, 2, 3):
+        p = face_poset(cx)
+        verdicts[f"sd{k}"] = _crosscut_verdict(p)
+        if k < 3:  # the crosscut of sd2's dual has millions of faces
+            verdicts[f"sd{k}-dual"] = _crosscut_verdict(p.dual())
+        cx = pd.order_complex(p)
+    family = {f"B{n}": pd.boolean_lattice(n) for n in range(2, 8)}
+    family["C4"] = pd.chain(4)  # the crosscut is one vertex, Δ a 2-simplex
+    family.update(
+        (f"P{vec}", pd.proper_divisibility_poset(vec))
+        for n in (2, 3)
+        for vec in cartesian(range(1, 7), repeat=n)
+        if sum(vec) <= 9 and list(vec) == sorted(vec)
+    )
+    family.update(
+        (f"B{m}xpB{n}", pd.proper_product(pd.boolean_lattice(m), pd.boolean_lattice(n)))
+        for m, n in cartesian(range(1, 5), repeat=2)
+    )
+    for name, p in family.items():
+        verdicts[name] = _crosscut_verdict(p)
+        verdicts[name + "-dual"] = _crosscut_verdict(p.dual())
+    assert {verdicts[f"sd{k}"] for k in (1, 2, 3)} == {"accepted"}
+    assert {verdicts[f"B{n}"] for n in range(2, 8)} == {"accepted"}
+    assert verdicts["P(4, 4)"] == verdicts["B2xpB3"] == "refused"
+    assert verdicts["sd1-dual"] == verdicts["P(2, 3)-dual"] == verdicts["B3xpB3"] == "abandoned"
+
+
+def test_crosscut_refuses_the_crowns():
+    for p, betti in ((CROWN, (0, 1)), (CROWN_AND_A_THIRD_ATOM, (0, 2))):
+        assert _crosscut_faces(p) is None
+        assert _crosscut_verdict(p) == "refused"
+        assert pd.homology(pd.order_complex(p), reduced=True).betti == betti
+
+
+def test_crosscut_answers_the_torsion_of_sd3_rp2():
+    # sd3(RP2) has 6,481 faces; its crosscut is sd2(RP2), with 1,081
+    cx = RP2
+    for _ in range(3):
+        p = face_poset(cx)
+        cx = pd.order_complex(p)
+    assert sum(map(len, _crosscut_faces(p))) == 1081
+    s = pd.homology(cx, reduced=True)
+    assert cx._facets is None  # no chain listed
+    assert (s.betti, s.torsion) == ((0, 0, 0), ((), (2,), ()))
+
+
+def test_crosscut_is_held_to_the_mask_bound(monkeypatch):
+    # P(2, ..., 2) with 10 coordinates: 1,025 elements, so 16,416 mask words;
+    # its 1,023 atoms are its coatoms, and its crosscut 1,023 points
+    p = pd.proper_divisibility_poset((2,) * 10)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "16415")
+    assert _crosscut_faces(p) is None
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "16416")
+    assert [len(level) for level in _crosscut_faces(p)] == [1023]
+    assert _crosscut_homology(p, True, True).betti == (1022,)
 
 
 def test_cones_and_paths_keep_the_torsion_of_rp2():
