@@ -28,21 +28,26 @@ componentwise decrement, which the falling chains read.
 
 ``order_complex`` checks that certificate and counts its falling chains
 with the walk ``_dual_lex_betti`` before it lists any chain: one pass
-from the bottom up checks each cover and adds its counts.  Once
-condition (i) holds, the witness of condition (ii) always lies inside
-its trigger, so (ii), the converse, is one comparison of popcounts (see
-the walk).  The walk holds a ``len(P)``-bit mask per element and, per
-cover y < x, a witness size and a row of counts by length packed into
-one integer (below), of at most the longest chain up to x plus one
-slots.  It is skipped, answering None, where the masks in 64-bit words
-(``len(P)**2 // 64``) or the slots, one per count whatever their width,
-exceed the face guard.  The words are counted before any mask is built;
-the slots are added up in the set-up pass, which builds only the
-down-cover masks, and checked before ``below`` and any row.  ``verify_rao``
-and ``search_rao`` hold the same up-set masks and refuse past the same
-number of words with :class:`SizeGuardError`.  Besides, the search holds
-a mask of up-covers per element, and the verifier one per (element,
-certificate node) pair it enters.
+from the bottom up checks each element's atoms and adds their counts.
+Most atoms need no test: where the down-set of the atoms before it holds
+an atom's whole strict down-set, both conditions hold and the atom adds
+its own full row.  Any other atom passes iff that down-set meets its
+down-set in exactly the down-sets of its first few atoms, one comparison
+of masks, and adds a partial row that counts only the chains through
+those (see the walk for both proofs).  The walk holds a ``len(P)``-bit
+mask per element; a row of counts by length packed into one integer
+(below) per element, of its level (the most covers on a chain up to it)
+plus one slots; and each partial row it builds, of as many slots, with
+its mask.  It is skipped, answering None, where the masks in 64-bit words
+(``len(P)**2 // 64``) or the full rows' slots, one per count whatever
+their width, exceed the face guard, and it stops, answering None, once
+the partial rows and their masks in words take the total past it.  The
+words are counted before any mask is built; the full rows' slots are
+added up in the set-up pass and checked before ``below`` and any row.
+``verify_rao`` and ``search_rao`` hold the same up-set masks and refuse
+past the same number of words with :class:`SizeGuardError`.  Besides,
+the search holds a mask of up-covers per element, and the verifier one
+per (element, certificate node) pair it enters.
 
 Falling chains are counted without listing them.  The walk refuses a step
 from x onto k iff k is x's decrement and not (0, 0), a test of the step's
@@ -259,9 +264,10 @@ def verify_rao(p: Poset, cert: RaoCertificate):
     up-sets of its first k atoms.  Every edge tests (i): ``required =
     atoms & prefix``, of k bits, must be the first k atoms, which takes no
     comparison where k is 0 or all of them.  On a later edge where (i)
-    holds, (ii) is one comparison of sizes, as in ``_dual_lex_betti``: the
-    witness, the union of the up-sets of those k atoms, lies inside the
-    trigger, since the prefix is an up-set.  Where (i) fails, (ii) is
+    holds, (ii) is one comparison of sizes: the witness, the union of the
+    up-sets of those k atoms, lies inside the trigger, since the prefix is
+    an up-set (``_dual_lex_betti`` proves the same inclusion and compares
+    the trigger with the witness itself).  Where (i) fails, (ii) is
     checked from the up-covers first, so the first violation is the same
     either way.
     """
@@ -507,80 +513,117 @@ def _dual_lex_betti(poset: Poset) -> tuple[int, ...] | None:
     bottom up both checks and counts.  The atoms condition (i) requires
     lead the descending order, so the required mask is fixed by its size.
 
-    Condition (ii) is one popcount test.  ``prefix``, the union of the
-    down-sets of the atoms taken so far, is a down-set.  Once (i) holds,
-    the witness is the union of the down-sets of atom's first ``size``
-    atoms; each lies below atom and, its atom being in ``prefix``, inside
-    ``prefix``.  So the witness lies inside the trigger ``below[atom] &
-    prefix``, and (ii), the trigger inside the witness, holds iff their
-    sizes agree.  ``reached[x][j]`` is the witness's size for x's first j
-    atoms, recorded as x's own ``prefix`` grows.
+    Most atoms need no test.  ``prefix``, the union of the down-sets of the
+    atoms of x taken so far, is a down-set that holds no later atom, and
+    the trigger of a later atom is ``below[atom] & prefix``.
 
-    A chain is falling iff each step after the first lands on an atom in the
-    required mask of the interval it leaves.  ``sums[x][m]`` counts, by
-    length, the falling chains from x down to the bottom whose first step
-    lands on one of x's first m atoms: the memo on (x, required mask) a walk
-    from the top would keep, filled in from the bottom up.  It is one
-    integer holding the chains of l steps in the w-bit slot l (see the
-    module docstring), so an atom's row, one step longer, is added by
-    ``acc += row << w``.  Its chains all run from the bottom up to x, so
-    none of its slots can carry into the next.
+    - Whole interval reached: the trigger is atom's whole strict down-set.
+      Then every down-cover of atom is in ``prefix``, so (i) requires all
+      of atom's atoms, and the witness, the union of their down-sets, is
+      the strict down-set, the trigger: (ii) holds.  The walk adds
+      ``full[atom]``.
+    - Partly reached: let ``size`` be the number of atom's down-covers in
+      ``prefix``.  With ``size`` 0 the witness is empty but the trigger
+      holds the bottom, so (ii) fails.  Otherwise (i) and (ii) hold
+      together iff the trigger equals U, the union of the down-sets of
+      atom's first ``size`` atoms.  If they hold, (i) makes those atoms
+      the required ones, each inside ``prefix``, so U, the witness, lies
+      inside the trigger, and (ii) is the converse.  If the trigger equals
+      U, it holds atom's first ``size`` atoms, which are then all of the
+      ``size`` in ``prefix``: (i) holds, and U is the witness.  The walk
+      adds atom's row for those ``size`` atoms.
 
-    One set-up loop from the bottom up reads the covers for the slot bound
-    and the slot width: per element it fills its level (the most covers on
-    a chain up to it), its number of saturated chains and its down-cover
-    mask, and adds its slots to the total.  ``below`` and the pass then
+    A chain is falling iff each step after the first lands on an atom in
+    the required mask of the interval it leaves.  ``full[x]`` counts, by
+    length, the falling chains from x down to the bottom, the memo on (x,
+    all of x's atoms) a walk from the top would keep; a partial row, keyed
+    (x, size), those whose first step lands on one of x's first ``size``
+    atoms.  A partial row is built, with its U, where it is first read, by
+    a loop over those atoms with the prefixes x's own pass met.  That pass
+    read each of them there, so every row the loop adds is held already:
+    the build neither recurses nor nests, however long the poset.  A row
+    is one integer holding the chains of l steps in the w-bit slot l (see
+    the module docstring), so the rows of x's atoms are added up and moved
+    one step longer by a single shift by w.  Its chains all run from the
+    bottom up to its element, so none of its slots can carry into the next.
+
+    The walk holds one full row per element, of its level plus one slots,
+    and each partial row it builds, as many, with its U in ``ceil(len(poset)
+    / 64)`` words; the face guard bounds the total (see the module
+    docstring).  One set-up loop from the bottom up reads the covers for
+    the full rows' slots and the slot width: per element it fills its
+    level and its number of saturated chains.  ``below`` and the pass then
     each read every cover once more, and only the top's row is unpacked,
     padded with 0 to ``level[top] - 1`` degrees.
     """
     down, guard, n = poset.downcovers, face_guard_default(), len(poset)
     if n**2 // 64 > guard:
         return None
-    level, chains, down_mask = [0] * n, [0] * n, [0] * n
+    level, chains = [0] * n, [0] * n
     slots = 0
     for x in poset._topo:
-        most, total, mask = -1, 0, 0
+        most, total = -1, 0
         for y in down[x]:
             if level[y] > most:
                 most = level[y]
             total += chains[y]
-            mask |= 1 << y
-        level[x], chains[x], down_mask[x] = most + 1, total or 1, mask
-        slots += (most + 2) * len(down[x])
+        level[x], chains[x] = most + 1, total or 1
+        slots += most + 2
     if slots > guard:
         return None
-    below = poset.below
+    below, bottom = poset.below, poset.bottom
     # every saturated chain up to any element extends to one up to the top
     width = chains[poset.top].bit_length()
-    sums: list = [None] * n
-    reached: list = [None] * n
-    # the chain of no steps; the bottom has no atoms
-    sums[poset.bottom], reached[poset.bottom] = [1], [0]
+    strict = [mask.bit_count() - 1 for mask in below]  # strict down-set sizes
+    words = -(-n // 64)  # one mask
+    full = [0] * n
+    full[bottom] = 1  # the chain of no steps; the bottom has no atoms
+    # (x, size) -> (the union of the down-sets of x's first size atoms, x's
+    # row for them), 0 < size < all, built where the pass first reads it
+    partial: dict = {}
     for x in poset._topo[1:]:  # a linear extension starts at the bottom
-        # the first atom meets an empty prefix: nothing is required of it,
-        # and condition (ii) compares 0 with reached[first][0] = 0
         d = down[x]
         first = d[-1]
-        acc = sums[first][0] << width
-        # the down-sets of the atoms taken so far, a down-set itself; atoms
-        # of one interval are incomparable, so their own bits change no test
+        # the first atom meets an empty prefix, so nothing is required of it
+        # and it counts only the chain that ends there, at the bottom
+        acc = int(first == bottom)
         prefix = below[first]
-        row, sizes = sums[x], reached[x] = [0, acc], [0, prefix.bit_count()]
         for atom in d[-2::-1]:
-            required = down_mask[atom] & prefix
-            rest = down_mask[atom] ^ required
-            # condition (i): no other atom of atom's interval has a higher index
-            if required and rest.bit_length() > (required & -required).bit_length():
-                return None
-            size = required.bit_count()
-            # condition (ii): the trigger holds the witness, so equal sizes suffice
-            if (below[atom] & prefix).bit_count() != reached[atom][size]:
-                return None
-            acc += sums[atom][size] << width
+            trigger = below[atom] & prefix
             prefix |= below[atom]
-            row.append(acc)
-            sizes.append(prefix.bit_count())
-    betti = tuple(_unpack(sums[poset.top][-1], width)[2:])
+            if trigger.bit_count() == strict[atom]:  # the whole interval reached
+                acc += full[atom]
+                continue
+            size = 0
+            for c in down[atom]:
+                size += trigger >> c & 1
+            if not size:
+                return None
+            held = partial.get((atom, size))
+            if held is None:
+                # atom's own pass read these atoms with these prefixes, so
+                # it holds every row they need; atom's first atom adds 0
+                da = down[atom]
+                mask, row = below[da[-1]], 0
+                for c in da[-2:-1 - size:-1]:
+                    part = below[c] & mask
+                    if part.bit_count() == strict[c]:
+                        row += full[c]
+                    else:
+                        k = 0
+                        for e in down[c]:
+                            k += part >> e & 1
+                        row += partial[c, k][1]
+                    mask |= below[c]
+                slots += level[atom] + 1 + words
+                if slots > guard:
+                    return None
+                held = partial[atom, size] = mask, row << width
+            if trigger != held[0]:
+                return None
+            acc += held[1]
+        full[x] = acc << width
+    betti = tuple(_unpack(full[poset.top], width)[2:])
     return betti + (0,) * (level[poset.top] - 1 - len(betti))
 
 

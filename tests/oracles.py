@@ -14,10 +14,12 @@ replacements:
 ``verify_rao_by_generators``, the verifier with one generator per
 interval, for its frame walk (it tests the conditions element by element,
 not with the verifier's masks); ``dual_lex_betti_by_lists``, which checks
-the certificate in a pass of its own from the top down, with condition
-(ii) as a union of the witnesses' down-sets, and keeps each row of counts
-as a list, for the walk's single bottom-up pass with its popcount test and
-packed rows; ``falling_chain_counts_by_lists`` and
+the certificate in a pass of its own from the top down, testing both
+conditions at every cover with condition (ii) as a union of the
+witnesses' down-sets, and keeps a row of counts per cover as a list, for
+the walk's single bottom-up pass, which tests only the atoms it reaches
+in part, holds one packed row per element and builds the partial rows it
+reads; ``falling_chain_counts_by_lists`` and
 ``falling_chain_row_by_lists``, with list rows, for the packed ones; ``search_rao_by_recursion``, the atom-ordering search as
 one recursive call per interval and per position, for its explicit stack;
 and ``boundary_columns_by_slicing``, which finds each face's rows by
@@ -411,9 +413,13 @@ def verify_rao_by_generators(p, cert):
 
 
 def dual_lex_betti_by_lists(poset):
-    """``_dual_lex_betti`` with every row of counts a list, one entry per length.
+    """``_dual_lex_betti`` one cover at a time: the per-cover reference.
 
-    Its tuple may end in zeros where a walk stops short of the bottom.
+    Both conditions are tested at every cover, and the walk keeps a row of
+    counts per cover, each a list with one entry per length, where
+    ``_dual_lex_betti`` keeps one packed row per element and builds only
+    the partial rows it reads.  Its tuple may end in zeros where a walk
+    stops short of the bottom.
     """
     down, below = poset.downcovers, poset.below
     down_mask = [sum(map((1).__lshift__, d)) for d in down]

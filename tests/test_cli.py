@@ -182,13 +182,27 @@ def test_homology_guard_exit(capsys):
 def test_homology_long_chain_answers_from_its_certificate(capsys, monkeypatch):
     # P(1500) is a chain: one maximal chain longer than the recursion limit,
     # and a 1499-vertex simplex whose faces are far beyond the face guard.
-    # Its walk fits the guard (35,203 mask words, 1,127,250 count entries),
+    # Its walk fits the guard (35,203 mask words, 1,127,251 count slots),
     # so the certificate answers and no face is closed.
     monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
     assert pd.order_complex(pd.proper_divisibility_poset((1500,)))._certified_betti is not None
     code, out, err = run(capsys, "homology", "pdiv", "1500", "--reduced")
     assert (code, err) == (0, "")
     assert out == "betti (reduced): " + " ".join(["0"] * 1499) + "\n"
+
+
+def test_homology_pdiv_60_60_answers_from_its_walk(capsys, monkeypatch):
+    # 3,601 elements: 202,612 mask words and 145,851 count slots, one row
+    # per element, under the default guard; some 1.8e30 maximal chains
+    monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
+    code, out, err = run(capsys, "homology", "pdiv", "60,60", "--reduced")
+    assert (code, err) == (0, "")
+    betti = [pd.formulas.betti_rank(60, 60, i) for i in range(59)]
+    assert out == "betti (reduced): " + " ".join(map(str, betti)) + "\n"
+    # the walk's masks alone exceed a guard of 200,000, and so do the chains
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "200000")
+    code, out, err = run(capsys, "homology", "pdiv", "60,60", "--reduced")
+    assert (code, out, err) == (3, "", "error: more than 200000 maximal chains\n")
 
 
 def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
@@ -200,7 +214,8 @@ def test_homology_face_guard_exit_without_dominated_vertex(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == "error: face-count guard 150 exceeded\n"
     # B2 xp B6 (3,194 chains, 14,048 faces) is certified: its walk (564 mask
-    # words, 3,394 count entries) is all the face guard must pass
+    # words; 756 count slots in full rows, 49 partial rows with their masks
+    # 356 more) is all the face guard must pass
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "5000")
     code, out, err = run(capsys, "homology", "prod", "bool 2", "bool 6")
     assert (code, out, err) == (0, "betti (non-reduced): 15 30 40 30 13\n", "")

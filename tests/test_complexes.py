@@ -105,13 +105,15 @@ def test_order_complex_walks_only_within_the_face_guard(monkeypatch):
     assert pd.homology(cx, reduced=True).betti == (1022,)
     monkeypatch.setenv("PROPERDIV_GUARD_FACES", "16416")
     assert _certified((2,) * 10) == (1022,)
-    # P(4, 4): 17 elements in 4 words, but rows of 130 entries; its 19
-    # chains and 63 faces fit a guard of 129, under which it reduces
-    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "129")
+    # P(4, 4): 17 elements in 4 words, but one row per element, of its
+    # level plus one slots, 55 in all, and no partial row.  Under a guard
+    # of 54 its 19 chains are listed, and its 63 faces refused
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "54")
     cx = _pdiv_complex((4, 4))
     assert cx._certified_betti is None and len(cx.facets) == 19
-    assert pd.homology(cx, reduced=True).betti == (0, 4, 0)
-    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "130")
+    with pytest.raises(pd.SizeGuardError, match="^face-count guard 54 exceeded$"):
+        pd.homology(cx, reduced=True)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "55")
     assert _certified((4, 4)) == (0, 4, 0)  # padded to the complex's dimension, 2
 
 
@@ -126,7 +128,7 @@ def test_homology_of_a_certified_complex_lists_no_chain(monkeypatch):
 
 def test_certified_complex_past_the_chain_guard_answers_and_refuses_its_facets(monkeypatch):
     # P(30, 30) has more maximal chains than the default guard, which its
-    # walk fits (12,684 mask words, 552,539 count entries).  Its facets are
+    # walk fits (12,684 mask words, 18,476 count slots).  Its facets are
     # read under a guard of 100,000, read when they are, so that the chains
     # listed before the refusal stay few
     monkeypatch.delenv("PROPERDIV_GUARD_FACES", raising=False)
@@ -156,10 +158,10 @@ def test_chain_facets_match_the_open_part_route(monkeypatch):
         assert cx._certified_betti is None
     for p in built:
         assert _chain_facets(p) == _facets_of_the_open_part(p)
-    # P(4, 4) under a guard of 129 skips its certificate and lists its 19
+    # P(4, 4) under a guard of 54 skips its certificate and lists its 19
     # chains; both routes refuse the same count with the same message
     p = pd.proper_divisibility_poset((4, 4))
-    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "129")
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", "54")
     cx = pd.order_complex(p)
     assert cx._certified_betti is None
     assert cx.facets == _chain_facets(p.dual()) == _facets_of_the_open_part(p)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product as cartesian
 
@@ -583,9 +584,38 @@ def test_certified_betti_match_reduction_on_products():
             assert pd.homology(pd.order_complex(p), torsion=False).betti == want
 
 
+def _partial_reads(p):
+    """The (atom, size) pairs whose partial rows the walk builds on p, one cover at a time.
+
+    An atom after the first of x, of whose down-covers some but not all lie
+    below x's earlier atoms, is read for the number of those.  Where the
+    walk fails, this may name pairs it never reaches.
+    """
+    down, below = p.downcovers, p.below
+    reads = set()
+    for x in p._topo:
+        earlier = 0
+        for atom in reversed(down[x]):
+            size = sum(earlier >> c & 1 for c in down[atom])
+            if 0 < size < len(down[atom]):
+                reads.add((atom, size))
+            earlier |= below[atom]
+    return reads
+
+
+def _sd_face_posets():
+    """The face posets of RP2, sd(RP2) and sd2(RP2): their order complexes are sd1-3(RP2)."""
+    cx, built = pd.SimplicialComplex(range(6), RP2_FACETS), []
+    for _ in range(3):
+        built.append(face_poset(cx))
+        cx = pd.order_complex(built[-1])
+    return built
+
+
 def test_the_walk_matches_its_list_reference_on_duals():
-    # verdict and counts on the dual-lex corpus, the products and the duals
-    # of both; of these, condition (ii) fails on duals only
+    # verdict and counts on the dual-lex corpus, the products, the face
+    # posets of sd1-3(RP2) and the duals of all; of these, condition (ii)
+    # fails on duals only
     family = [
         pd.proper_divisibility_poset(vec)
         for n in (1, 2, 3)
@@ -595,7 +625,9 @@ def test_the_walk_matches_its_list_reference_on_duals():
     family += map(_product, _PRODUCTS + ["B3xpB3"])
     for i, j in cartesian(range(1, 4), range(1, 7)):
         family += _product(f"B{i}xpB{j}"), _product(f"C{i}xpB{j}"), _product(f"B{j}xpC{i}")
+    family += _sd_face_posets()
     verdicts = Counter()
+    partly_reached = 0  # certified posets whose walk builds partial rows
     for p in family:
         for q in (p, p.dual()):
             if q.is_bounded:
@@ -604,8 +636,10 @@ def test_the_walk_matches_its_list_reference_on_duals():
                 assert (betti is not None) == ok, (q.labels[q.top], why)
                 if ok:  # a failed certificate's chains are listed at once
                     _certified_complex(q)
+                    partly_reached += bool(_partial_reads(q))
                 verdicts[why and why[: why.index(")") + 1]] += 1
     assert verdicts[None] and verdicts["condition (i)"] and verdicts["condition (ii)"]
+    assert partly_reached
 
 
 def test_packed_rows_on_wide_and_narrow_slots():
@@ -623,6 +657,78 @@ def test_packed_rows_on_wide_and_narrow_slots():
     assert max(p._chain_counts()) == 1
     assert _packed_matches_lists(p) == (0,) * 1499
     assert _packed_matches_lists(face_poset(pd.SimplicialComplex(range(6), RP2_FACETS))) is None
+
+
+def _held_slots(p):
+    """What the walk holds on a certified p: a full row per element, and each partial row and mask.
+
+    A row of an element of level l (the most covers on a chain up to it)
+    takes l + 1 slots, and a mask ceil(len(p) / 64) words.
+    """
+    level = p._longest_paths(p._topo, p.downcovers)
+    words = -(-len(p) // 64)
+    return sum(level) + len(p) + sum(level[a] + 1 + words for a, _ in _partial_reads(p))
+
+
+def test_the_walk_holds_one_row_per_element_and_each_partial_row_it_builds(monkeypatch):
+    # B2 xp B6: 190 elements in 564 mask words; its 190 full rows take 756
+    # slots, and 49 partial rows with their masks the rest
+    p = _product("B2xpB6")
+    held = _held_slots(p)
+    assert len(_partial_reads(p)) == 49 and held > 756 > len(p) ** 2 // 64
+    assert dual_lex_betti_by_lists(p) == (14, 30, 40, 30, 13)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", str(held))
+    assert _dual_lex_betti(p) == (14, 30, 40, 30, 13)
+    monkeypatch.setenv("PROPERDIV_GUARD_FACES", str(held - 1))
+    assert _dual_lex_betti(p) is None
+
+
+def _nested_partial_reads(k):
+    """A certified poset of length k + 3 whose walk reads k partial rows, each inside the next.
+
+    Above a bottom, atoms f_-1, y_-1 and z_1, ..., z_k; f_0 and y_0 cover
+    f_-1 and y_-1; for 1 <= i <= k, f_i covers f_i-1 and y_i-1, and y_i
+    covers those and z_i; the top covers f_k and y_k.  Indexed so that each
+    f_i follows y_i, and every z first, the top reads y_k for its two
+    atoms below f_k, whose row reads y_k-1 for its two below f_k-1, and so on.
+    """
+    labels = ["0", *(f"z{i}" for i in range(1, k + 1))]
+    labels += [f"{c}{i}" for i in range(-1, k + 1) for c in "yf"] + ["1"]
+    index = {lab: j for j, lab in enumerate(labels)}
+    down = {"y-1": ["0"], "f-1": ["0"], "1": [f"f{k}", f"y{k}"]}
+    down.update((f"z{i}", ["0"]) for i in range(1, k + 1))
+    for i in range(k + 1):
+        down[f"f{i}"] = [f"f{i - 1}", f"y{i - 1}"]
+        down[f"y{i}"] = [f"f{i - 1}", f"y{i - 1}"] + ([f"z{i}"] if i else [])
+    ups = [[] for _ in labels]
+    for lab, below in down.items():
+        for c in below:
+            ups[index[c]].append(index[lab])
+    return pd.Poset(labels, ups)
+
+
+def test_partial_rows_nest_deeper_than_the_recursion_limit():
+    for k in (1, 2, 5):
+        assert _routes_agree(_nested_partial_reads(k))
+    k = 1100  # past the interpreter's default recursion limit, 1000
+    p = _nested_partial_reads(k)
+    assert {(p.index_of(f"y{i}"), 2) for i in range(1, k + 1)} <= _partial_reads(p)
+    betti = _packed_matches_lists(p)
+    assert betti == (0,) * (k + 1) + (1,)
+
+
+def test_the_walk_holds_few_rows_of_p40_40():
+    # one full row per element, about 0.3 MB; a row per cover took 11 MB
+    p = pd.proper_divisibility_poset((40, 40))
+    p.below  # the masks the walk reads, built outside the measurement
+    tracemalloc.start()
+    try:
+        betti = _dual_lex_betti(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert betti == tuple(betti_rank(40, 40, i) for i in range(39))
+    assert peak < 2 * 2**20
 
 
 def test_certified_betti_on_three_coordinates():
