@@ -28,8 +28,9 @@ class SimplicialComplex:
     poset after that; ``dim`` and ``is_empty`` never list them.  When the
     poset's certificate verifies, it also keeps the reduced Betti numbers
     the certificate gives, one per degree, which ``homology`` answers from.
-    ``homology`` answers any other order complex from its poset's atom
-    crosscut where that is accepted, whether or not its facets were read.
+    ``homology`` answers any other order complex from its poset's atom or
+    coatom crosscut where one is accepted, whether or not its facets were
+    read.
     Every other complex, and an order complex the crosscut refuses, has all
     of its faces closed and reduced, held to the face guard.
     """
@@ -216,12 +217,31 @@ def _crosscut_faces(p: Poset) -> list[list[tuple[int, ...]]] | None:
     early.  The up-sets are masks over ``_topo`` positions, held to the
     walk's bound of ``len(p)**2 // 64`` words within the face guard, and the
     attempt is given up once the faces outnumber the face guard or ``p``'s
-    maximal chains, the facets the reduction would list instead.
+    maximal chains, the facets the reduction would list instead: at once
+    where the atoms or the widest facet's faces do, before any up-set is
+    built.
     """
     n, guard = len(p), face_guard_default()
     if n <= 2 or n**2 // 64 > guard:
         return None
     topo, down = p._topo, p.downcovers
+    atoms = p.atoms()
+    limit = min(guard, p._chain_counts()[p.top])
+    if len(atoms) > limit:
+        return None
+    # per element, the mask of the atoms below it, as vertices
+    atom_sets = [0] * n
+    for v, a in enumerate(atoms):
+        atom_sets[a] = 1 << v
+    for x in topo:
+        m = atom_sets[x]
+        for y in down[x]:
+            m |= atom_sets[y]
+        atom_sets[x] = m
+    facets = [_bits(m) for m in {atom_sets[c] for c in down[p.top]}]
+    widest = max(map(len, facets))
+    if (1 << widest) - 1 > limit:
+        return None
     position = [0] * n
     for k, x in enumerate(topo):
         position[x] = k
@@ -233,21 +253,6 @@ def _crosscut_faces(p: Poset) -> list[list[tuple[int, ...]]] | None:
         m = above[k] = above[k] | 1 << k
         for y in down[topo[k]]:
             above[position[y]] |= m
-    atoms = p.atoms()
-    # per element, the mask of the atoms below it, as vertices
-    atom_sets = [0] * n
-    for v, a in enumerate(atoms):
-        atom_sets[a] = 1 << v
-    for x in topo:
-        m = atom_sets[x]
-        for y in down[x]:
-            m |= atom_sets[y]
-        atom_sets[x] = m
-    facets = [_bits(m) for m in {atom_sets[c] for c in down[p.top]}]
-    limit = min(guard, p._chain_counts()[p.top])
-    widest = max(map(len, facets))
-    if len(atoms) > limit or (1 << widest) - 1 > limit:
-        return None
     # per face of the last level closed, the position of the least element of
     # its U; one atom's is its own
     atom_at = [position[a] for a in atoms]

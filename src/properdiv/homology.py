@@ -65,17 +65,22 @@ Combinatorics, 1995, Thm 10.6; its crosscut form is Thm 10.8) makes
 are reduced as below and the summary, exact over the integers, is padded
 with 0 or cut to the degrees of Δ(P-bar).  The route is refused where
 some U(σ) has no least element, and given up where Γ has more faces than
-the face guard or P has maximal chains.  Of the families the tests try,
-it accepts the face posets of simplicial complexes (Γ is the complex
+the face guard or P has maximal chains.  Where it is refused or given
+up, the route tries the atom crosscut of the dual P^op, the coatom
+crosscut of P: Δ(P-bar) and Δ(P-bar^op) are one complex, so the same
+argument holds.  Of the families the tests try, the atom crosscut
+accepts the face posets of simplicial complexes (Γ is the complex
 itself, so sd^3(RP^2) is answered from the 1,081 faces of sd^2(RP^2),
-not from its own 6,481), Boolean lattices and chains.  It refuses, or
-gives up on, the proper products B_m xp B_n with 2 <= m, n <= 4 other
-than B2 xp B2, and their duals.  It refuses P(4, 4), whose atoms (0, 1)
+not from its own 6,481), Boolean lattices and chains, and the coatom
+crosscut answers the duals of the face posets, whose atom crosscut is
+the nerve of the facets and is given up.  Both refuse, or give up on,
+the proper products B_m xp B_n with 2 <= m, n <= 4 other than B2 xp B2,
+and their duals.  The atom crosscut refuses P(4, 4), whose atoms (0, 1)
 and (1, 0) have the three minimal upper bounds (2, 2), (2, 3) and
 (3, 2), but the walk answers every P(a) before this route is tried.
 
-*Reduction.*  Every other complex, and an order complex both routes
-leave, is reduced as given, its chains listed first.
+*Reduction.*  Every other complex, and an order complex the walk and
+both crosscuts leave, is reduced as given, its chains listed first.
 """
 
 from __future__ import annotations
@@ -308,8 +313,9 @@ def homology(
     higher in degree 0 when not reduced.  Its facets are not read, so no
     chain is listed and no face closed, and the face guard does not apply.
     Any other order complex is first answered, where its poset's atom
-    crosscut is accepted, from the faces of the crosscut, and its chains
-    are listed only where it is not (module docstring).
+    crosscut or else its coatom crosscut is accepted, from the faces of
+    that crosscut, and its chains are listed only where neither is
+    (module docstring).
     """
     betti = k._certified_betti
     if betti is not None:
@@ -328,13 +334,17 @@ def homology(
 
 
 def _crosscut_homology(p, reduced: bool, torsion: bool) -> HomologySummary | None:
-    """Homology of Δ(p) from ``p``'s atom crosscut complex, or None where it is not used.
+    """Homology of Δ(p) from an atom crosscut complex, or None where neither is used.
 
-    The crosscut complex is homotopy equivalent to Δ(p) (module docstring),
-    so its summary is Δ(p)'s once padded with 0, or cut, to one entry per
-    degree of Δ(p), whose dimension is ``p.length() - 2``.
+    The atom crosscut of ``p`` is tried first, then that of ``p.dual()``,
+    the coatom crosscut of ``p``, since Δ(p) is Δ(p.dual()).  Either is
+    homotopy equivalent to Δ(p) (module docstring), so its summary is
+    Δ(p)'s once padded with 0, or cut, to one entry per degree of Δ(p),
+    whose dimension is ``p.length() - 2``.
     """
     faces = _crosscut_faces(p)
+    if faces is None:
+        faces = _crosscut_faces(p.dual())
     if faces is None:
         return None
     s = _reduce(faces, reduced, torsion)

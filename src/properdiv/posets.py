@@ -72,10 +72,10 @@ DEFAULT_ISO_GUARD = 5000
 
 def as_multidegree(a) -> tuple[int, ...]:
     """Validate and normalize an exponent vector (length >= 1, entries >= 0)."""
-    vec = tuple(int(x) for x in a)
+    vec = tuple(map(int, a))
     if len(vec) < 1:
         raise ValueError("multidegree must have at least one coordinate")
-    if any(x < 0 for x in vec):
+    if min(vec) < 0:
         raise ValueError(f"multidegree entries must be non-negative: {vec}")
     return vec
 
@@ -400,6 +400,8 @@ class Poset:
             raise SizeGuardError(f"isomorphism guard is {DEFAULT_ISO_GUARD} elements")
         if len(self) != len(other):
             return None
+        if self.downcovers == other.downcovers:  # the identity preserves them both ways
+            return list(range(len(self)))
         ca = self._refined_colors()
         cb = other._refined_colors()
         if Counter(ca) != Counter(cb):
@@ -634,11 +636,22 @@ def proper_divisibility_poset(a) -> Poset:
     such coordinate the only cover lowers it by one.  With two, j < k, the
     covers are x_j < y_j - 1 with x_k = y_k - 1, then x_j = y_j - 1 with
     any x_k < y_k: two arithmetic ranges of indices.  With more, the
-    difference is walked as for products.  ``proper_product``
-    of those chains builds the same poset field for field and is the
-    tests' reference.  The element guard bounds the elements and the
-    candidate covers, which are counted in closed form before any member
-    is built.
+    difference is walked as for products.
+
+    The members are built a row at a time: a row is one prefix of the
+    first n - 1 coordinates, whose coordinates with y_k >= 2 are found
+    once, and the last coordinate's values y.  Where y is 0 or 1 it adds
+    nothing, so those two members share the prefix's covers.  Where
+    y >= 2 the row's case sets them: with no such prefix coordinate the
+    cover is y - 1; with one, two ranges sliced off the indices; with more,
+    the box difference.  ``proper_product`` of the chains builds the same
+    poset field for field and is the tests' reference.
+
+    The element guard bounds the elements and the candidate covers, both
+    counted before any member is built, the candidates in closed form.
+    Each coordinate's term of that sum counts distinct pairs of members, so
+    the sum is at most n * (elements)**2 and is skipped where that bound is
+    within the guard.
     """
     a = as_multidegree(a)
     radix = [max(ak, 1) for ak in a]
@@ -647,44 +660,69 @@ def proper_divisibility_poset(a) -> Poset:
         raise SizeGuardError(
             f"P{a} would have {count} elements (guard {DEFAULT_ELEMENT_GUARD})"
         )
-    # rule (a) in coordinate k: the top offers prod_{j != k} max(a_j, 1)
-    # candidates, and each of the a_k - 2 values 2 <= y_k < a_k offers
-    # prod_{j != k} sum_y max(y, 1) over the other coordinates' values
-    spread = [1 + r * (r - 1) // 2 for r in radix]
-    candidates = sum(
-        prod(radix[:k] + radix[k + 1 :]) + (ak - 2) * prod(spread[:k] + spread[k + 1 :])
-        for k, ak in enumerate(a)
-        if ak >= 2
-    )
-    if candidates > DEFAULT_ELEMENT_GUARD:
-        raise SizeGuardError(
-            f"product would have {candidates} candidate covers (guard {DEFAULT_ELEMENT_GUARD})"
+    if len(a) * count**2 > DEFAULT_ELEMENT_GUARD:
+        # rule (a) in coordinate k: the top offers prod_{j != k} max(a_j, 1)
+        # candidates, and each of the a_k - 2 values 2 <= y_k < a_k offers
+        # prod_{j != k} sum_y max(y, 1) over the other coordinates' values
+        spread = [1 + r * (r - 1) // 2 for r in radix]
+        candidates = sum(
+            prod(radix[:k] + radix[k + 1 :]) + (ak - 2) * prod(spread[:k] + spread[k + 1 :])
+            for k, ak in enumerate(a)
+            if ak >= 2
         )
+        if candidates > DEFAULT_ELEMENT_GUARD:
+            raise SizeGuardError(
+                f"product would have {candidates} candidate covers (guard {DEFAULT_ELEMENT_GUARD})"
+            )
 
     stride = [prod(radix[k + 1 :]) for k in range(len(a))]
     members = list(_cartesian(*map(range, radix)))
     if any(a):
         members.append(a)
     ids = tuple(range(len(members)))  # slices of it share the index objects
-    downs = [()]  # index 0 is the bottom
-    for i in range(1, len(members)):
+    width = radix[-1]
+    # a row with no prefix coordinate >= 2: rule (b) for y = 0, 1, else y - 1
+    plain = [(0,), (0,)][:width] + list(zip(ids[1 : width - 1]))
+    downs = []
+    for prefix in _cartesian(*map(range, radix[:-1])):
         # the box difference over the coordinates with y_k >= 2, as offsets
-        # of y_k - 1 and strides; every other S_k is {0} and adds nothing
-        big = [((y - 1) * s, s) for y, s in zip(members[i], stride) if y >= 2]
+        # of y_k - 1 and strides
+        big = [((y - 1) * s, s) for y, s in zip(prefix, stride) if y >= 2]
         if not big:
-            down = (0,)  # rule (b)
-        elif len(big) == 1:
-            hi = big[0][0]
-            down = ids[hi : hi + 1]
-        elif len(big) == 2:
-            # x_j < y_j - 1 with x_k = y_k - 1, then x_j = y_j - 1 with any x_k
-            (hi, s), (lo, t) = big
-            down = ids[lo : hi + lo : s] + ids[hi : hi + lo + t : t]
-        else:  # C_k = {y_k - 1} and S_k = {0, ..., y_k - 1}, as offsets
-            row = [((hi,), range(0, hi + s, s)) for hi, s in big]
-            down = tuple(_box_difference(row))
-        downs.append(down)
+            downs += plain
+            continue
+        low = _pdiv_downcovers(big, ids)
+        downs += [low, low][:width]
+        if len(big) == 1:
+            # as for two coordinates in _pdiv_downcovers, the last with x = y - 1
+            ((hi, s),) = big
+            downs += [ids[y - 1 : hi + y - 1 : s] + ids[hi : hi + y] for y in range(2, width)]
+        else:
+            box = [((hi,), range(0, hi + s, s)) for hi, s in big]
+            downs += [tuple(_box_difference(box + [((y - 1,), range(y))])) for y in range(2, width)]
+    downs[0] = ()  # the bottom
+    if any(a):
+        downs.append(_pdiv_downcovers([((y - 1) * s, s) for y, s in zip(a, stride) if y >= 2], ids))
     return Poset.__new__(Poset)._assemble(tuple(members), tuple(downs), ids, 0, len(members) - 1)
+
+
+def _pdiv_downcovers(big, ids) -> tuple[int, ...]:
+    """The down-covers in P(a) of a member other than the bottom.
+
+    ``big`` lists, in coordinate order, the offset (y_k - 1) * stride_k and
+    the stride of each of its coordinates with y_k >= 2.
+    """
+    if not big:
+        return (0,)  # rule (b)
+    if len(big) == 1:
+        hi = big[0][0]
+        return ids[hi : hi + 1]
+    if len(big) == 2:
+        # x_j < y_j - 1 with x_k = y_k - 1, then x_j = y_j - 1 with any x_k
+        (hi, s), (lo, t) = big
+        return ids[lo : hi + lo : s] + ids[hi : hi + lo + t : t]
+    # C_k = {y_k - 1} and S_k = {0, ..., y_k - 1}, as offsets
+    return tuple(_box_difference([((hi,), range(0, hi + s, s)) for hi, s in big]))
 
 
 def proper_product(*factors: Poset) -> Poset:
@@ -744,7 +782,7 @@ def _product_poset(factors) -> Poset:
         stride *= len(coords[j])
     # lower[k][y]: the offsets of x_k under rule (a) when y_k = y, C_k
     lower = [
-        [tuple(o[x] for x in p.downcovers[y] if x != p.bottom) for y in range(len(p))]
+        [tuple(o[x] for x in down if x != p.bottom) for down in p.downcovers]
         for p, o in zip(factors, at)
     ]
     raised = [sum(len(lower[k][y]) for y in coords[k]) for k in range(n)]

@@ -487,10 +487,13 @@ def _dual_lex_certificate(poset: Poset) -> RaoCertificate:
     down, labels = poset.downcovers, poset.labels
     short = ((), (poset.bottom,))  # the down-covers of the bottom and of an atom
     certs: list = [None] * len(poset)
+    # the two field stores of the frozen dataclass's __init__, without its call
+    new, store = object.__new__, object.__setattr__
     for x in poset._topo:
         order = down[x][::-1]
-        children = None if order in short else tuple(map(certs.__getitem__, order))
-        certs[x] = RaoCertificate(tuple(map(labels.__getitem__, order)), children)
+        node = certs[x] = new(RaoCertificate)
+        store(node, "ordering", tuple(map(labels.__getitem__, order)))
+        store(node, "children", None if order in short else tuple(map(certs.__getitem__, order)))
     return certs[poset.top]
 
 

@@ -434,6 +434,28 @@ def test_crosscut_answers_the_torsion_of_sd3_rp2():
     assert (s.betti, s.torsion) == ((0, 0, 0), ((), (2,), ()))
 
 
+def test_coatom_crosscut_answers_the_duals_of_rp2_face_posets():
+    # the atom crosscut of a face poset's dual is the nerve of the facets and
+    # is given up; its coatom crosscut is the face poset's atom crosscut
+    cx = RP2
+    for _ in range(3):
+        p = face_poset(cx)
+        dual = p.dual()
+        assert _crosscut_faces(dual) is None and _crosscut_faces(p) is not None
+        listed = pd.order_complex(dual)
+        assert listed._certified_betti is None
+        listed = SimplicialComplex(listed.vertices, listed.facets)
+        for reduced in (False, True):
+            s = _crosscut_homology(dual, reduced, True)
+            assert s == pd.homology(listed, reduced=reduced)
+            assert _crosscut_homology(dual, reduced, False).betti == s.betti
+        assert (s.betti, s.torsion) == ((0, 0, 0), ((), (2,), ()))
+        fresh = pd.order_complex(face_poset(cx).dual())
+        assert pd.homology(fresh, reduced=True) == s
+        assert fresh._facets is None  # no chain listed
+        cx = pd.order_complex(p)
+
+
 def test_crosscut_is_held_to_the_mask_bound(monkeypatch):
     # P(2, ..., 2) with 10 coordinates: 1,025 elements, so 16,416 mask words;
     # its 1,023 atoms are its coatoms, and its crosscut 1,023 points

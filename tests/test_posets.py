@@ -334,7 +334,11 @@ def test_pdiv_matches_the_proper_product_of_chains(monkeypatch):
         pd.proper_divisibility_poset,
         lambda vec: posets._product_poset([pd.chain(x) for x in vec]),
     )
-    for vec in vecs + [(16, 16), (6, 6, 6), (2, 5000)]:
+    # rows whose last coordinate has 1, 1 or 2 values after prefixes with 0 to
+    # 3 coordinates >= 2, zeros inside the vector, one coordinate, and long rows
+    shapes = [(7, 0), (7, 1), (7, 2), (6, 7, 0), (6, 7, 1), (6, 7, 2), (3, 3, 3, 1), (3, 3, 3, 2)]
+    shapes += [(4, 0, 3), (0, 5, 0, 2), (3, 2, 0, 2, 1), (9,), (1500,), (2, 5000)]
+    for vec in vecs + [(16, 16), (6, 6, 6)] + shapes:
         p, q = (build(vec) for build in builders)
         assert [getattr(p, f) for f in fields] == [getattr(q, f) for f in fields], vec
         # both refuse just below the larger of the two counts the guard bounds
@@ -365,6 +369,30 @@ def test_candidate_cover_guard_is_exact(monkeypatch):
         monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", candidates - 1)
         with pytest.raises(pd.SizeGuardError, match=f" {candidates} candidate covers"):
             pd.proper_divisibility_poset(vec)
+
+
+def test_candidate_covers_are_summed_only_where_they_could_refuse(monkeypatch):
+    # the closed-form sum is skipped where n * (elements)**2 passes the
+    # guard; around that bound and the two counts, the builder refuses
+    # exactly where the elements or the candidates exceed the guard
+    grid = [vec for n in (1, 2, 3) for vec in cartesian(range(6), repeat=n)]
+    for vec in grid + [(1500,), (2, 5000), (9, 2, 3)]:
+        p = pd.proper_divisibility_poset(vec)
+        size, candidates = len(p), _candidate_covers(p)
+        bound = len(vec) * size**2
+        for guard in {bound - 1, bound, bound + 1, candidates - 1, candidates, size - 1, size}:
+            monkeypatch.setattr(posets, "DEFAULT_ELEMENT_GUARD", guard)
+            if size > guard:
+                want = f"P{vec} would have {size} elements (guard {guard})"
+            elif candidates > guard:
+                want = f"product would have {candidates} candidate covers (guard {guard})"
+            else:
+                assert len(pd.proper_divisibility_poset(vec)) == size, (vec, guard)
+                continue
+            with pytest.raises(pd.SizeGuardError) as refused:
+                pd.proper_divisibility_poset(vec)
+            assert str(refused.value) == want
+        monkeypatch.undo()
 
 
 def test_guard_refuses_before_enumerating():
@@ -754,18 +782,46 @@ def test_isomorphism_backtracks():
     assert p.isomorphism_to(q) == [0, 1, 4, 2, 5, 3, 6, 7, 10, 8, 11, 9, 12, 13]
 
 
+def _relabelled(p, perm):
+    """``p`` with element ``perm[i]`` moved to index i, through the checking constructor."""
+    inv = [0] * len(p)
+    for new, old in enumerate(perm):
+        inv[old] = new
+    return pd.Poset([p.labels[old] for old in perm], [[inv[j] for j in p.upcovers[old]] for old in perm])
+
+
+def test_isomorphism_of_equal_covers_is_the_identity(monkeypatch):
+    # P(a, b) and the proper product of chains store equal covers: no search
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", 0)
+    for a, b in cartesian(range(1, 6), repeat=2):
+        p, q = pd.proper_divisibility_poset((a, b)), pd.proper_product(pd.chain(a), pd.chain(b))
+        assert p.isomorphism_to(q) == list(range(len(p)))
+    with pytest.raises(pd.SizeGuardError):
+        pd.chain(3).isomorphism_to(pd.chain(3).dual())
+
+
 def test_isomorphism_deeper_than_recursion_limit():
-    # the backtracking search places one element per level of its stack
-    assert pd.proper_divisibility_poset((1, 1200)).is_isomorphic_to(pd.chain(1200))
+    # the backtracking search places one element per level of its stack; the
+    # chain is numbered from the top, so its covers differ from P(1, 1200)'s
+    chain = _relabelled(pd.chain(1200), range(1200, -1, -1))
+    assert chain.downcovers != pd.proper_divisibility_poset((1, 1200)).downcovers
+    assert pd.proper_divisibility_poset((1, 1200)).is_isomorphic_to(chain)
 
 
 def test_isomorphism_search_guard_counts_placements(monkeypatch):
-    # the chain guard bounds the placements of the backtracking search: an
-    # identity match places each element once, the hexagons need backtracking
+    # the chain guard bounds the placements of the backtracking search: a
+    # match without backtracking places each element once, the hexagons
+    # need backtracking
     p = _two_hexagons(((1, 3, 5), (7, 9, 11)), ((2, 4, 6), (8, 10, 12)))
     q = _two_hexagons(((1, 2, 3), (7, 8, 9)), ((4, 5, 6), (10, 11, 12)))
+    swapped = _relabelled(p, [0, 7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6, 13])
+    assert swapped.downcovers != p.downcovers
     monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", len(p))
-    assert p.isomorphism_to(p) == list(range(len(p)))
+    assert p.isomorphism_to(swapped) == [0, 7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6, 13]
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", len(p) - 1)
+    with pytest.raises(pd.SizeGuardError, match="^isomorphism search made more than 13 placements$"):
+        p.isomorphism_to(swapped)
+    monkeypatch.setattr(posets, "DEFAULT_CHAIN_GUARD", len(p))
     with pytest.raises(pd.SizeGuardError, match="^isomorphism search made more than 14 placements$"):
         p.isomorphism_to(q)
 
@@ -782,13 +838,7 @@ def test_isomorphism_guard(monkeypatch):
 def test_isomorphism_invariant_under_relabeling(p, rng):
     perm = list(range(len(p)))
     rng.shuffle(perm)
-    inv = [0] * len(p)
-    for new, old in enumerate(perm):
-        inv[old] = new
-    labels = [p.labels[old] for old in perm]
-    ups = [sorted(inv[j] for j in p.upcovers[old]) for old in perm]
-    q = pd.Poset(labels, ups)
-    assert p.is_isomorphic_to(q)
+    assert p.is_isomorphic_to(_relabelled(p, perm))
 
 
 @given(bounded_posets())

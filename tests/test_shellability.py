@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -318,6 +319,36 @@ def test_certificate_repr_counts_shared_nodes_once():
     assert text == f"RaoCertificate(ordering={cert.ordering!r}, distinct_nodes=256)"
     assert len(text) < 400
     assert repr(pd.dual_lex_certificate((1, 1))) == "RaoCertificate(ordering=((0, 0),), distinct_nodes=1)"
+
+
+def _constructed_dual_lex_certificate(p):
+    """The certificate of ``_dual_lex_certificate(p)``, one ``RaoCertificate(...)`` call per node."""
+    short = ((), (p.bottom,))
+    nodes = [None] * len(p)
+    for x in p._topo:
+        order = p.downcovers[x][::-1]
+        kids = None if order in short else tuple(nodes[y] for y in order)
+        nodes[x] = RaoCertificate(tuple(p.labels[y] for y in order), kids)
+    return nodes[p.top]
+
+
+def test_dual_lex_nodes_are_frozen_and_equal_constructed_ones():
+    assert [f.name for f in dataclasses.fields(RaoCertificate)] == ["ordering", "children"]
+    for vec in [(1,), (2,), (3, 2), (4, 4), (2, 3, 2), (5, 0, 3), (1, 1, 1)]:
+        p = pd.proper_divisibility_poset(vec)
+        built, made = _dual_lex_certificate(p), _constructed_dual_lex_certificate(p)
+        assert built == made and made == built and hash(built) == hash(made)
+        assert json.dumps(built.to_json_dict()) == json.dumps(made.to_json_dict())
+        assert "".join(built.iterencode()) == "".join(made.iterencode())
+        assert repr(built) == repr(made)
+        nodes = list(built._postorder())
+        assert len(nodes) == len(list(made._postorder()))
+        for node, twin in zip(nodes, made._postorder()):
+            assert type(node) is RaoCertificate and vars(node) == vars(twin), vec
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.ordering = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.children = None
 
 
 # -- search_rao ------------------------------------------------------------------
